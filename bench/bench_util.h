@@ -169,7 +169,7 @@ inline void print_header(const char* figure, const char* description) {
 inline void print_latency_breakdown(
     const char* label, const telemetry::LatencyBreakdown& b) {
   if (!b.enabled) {
-    std::printf("latency_breakdown [%s]: telemetry compiled out\n\n", label);
+    std::printf("latency_breakdown [%s]: latency ledger disabled\n\n", label);
     return;
   }
   std::printf("latency_breakdown [%s]:\n%s\n", label,

@@ -182,7 +182,7 @@ PointResult run_point(double bg_rate_pps, sim::Duration duration,
   if (telemetry_block != nullptr) {
     telemetry::JsonWriter w;
     w.begin_object();
-    w.member("compiled_in", static_cast<bool>(PRISM_TELEMETRY_ENABLED));
+    w.member("compiled_in", true);
     w.key("server_telemetry");
     w.raw(telemetry::telemetry_json(tb.server().telemetry()));
     w.member("softnet_stat", tb.server().softnet_stat());
@@ -361,9 +361,7 @@ int main(int argc, char** argv) {
 
   // A/B: full telemetry (span tracer on every CPU of both hosts, latency
   // ledger + flow table recording every delivery) vs the counters-only
-  // baseline above (ledger + flow table runtime-disabled). When
-  // PRISM_TELEMETRY=OFF the recording calls compile out and the overhead
-  // should read ~0.
+  // baseline above (ledger + flow table runtime-disabled).
   std::string telemetry_block;
   const PointResult telem_on =
       best_of(kHighLoadKpps * 1e3, sim::milliseconds(200), kRepsPerPoint,
@@ -486,7 +484,7 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("telemetry_overhead");
   w.begin_object();
-  w.member("compiled_in", static_cast<bool>(PRISM_TELEMETRY_ENABLED));
+  w.member("compiled_in", true);
   w.member("baseline_events_per_sec", high.events_per_sec());
   w.member("telemetry_events_per_sec", telem_on.events_per_sec());
   w.member("overhead_fraction", telem_overhead);
@@ -495,7 +493,7 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("flight_recorder_overhead");
   w.begin_object();
-  w.member("compiled_in", static_cast<bool>(PRISM_TELEMETRY_ENABLED));
+  w.member("compiled_in", true);
   w.member("baseline_events_per_sec", high.events_per_sec());
   w.member("recorder_events_per_sec", recorder_on.events_per_sec());
   w.member("overhead_fraction", recorder_overhead);
@@ -504,7 +502,7 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("lane_profiler_overhead");
   w.begin_object();
-  w.member("compiled_in", static_cast<bool>(PRISM_TELEMETRY_ENABLED));
+  w.member("compiled_in", true);
   w.member("baseline_events_per_sec", lane_off_eps);
   w.member("profiled_events_per_sec", lane_on_eps);
   w.member("overhead_fraction", profiler_overhead);
@@ -513,7 +511,7 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("flow_cache");
   w.begin_object();
-  w.member("compiled_in", static_cast<bool>(PRISM_FLOWCACHE_ENABLED));
+  w.member("compiled_in", true);
   w.member("baseline_events_per_sec", high.events_per_sec());
   w.member("baseline_packets_per_sec", high.packets_per_sec());
   w.member("cache_events_per_sec", cache_on.events_per_sec());
@@ -526,7 +524,7 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("overload");
   w.begin_object();
-  w.member("compiled_in", static_cast<bool>(PRISM_OVERLOAD_ENABLED));
+  w.member("compiled_in", true);
   w.end_object();
   w.member("peak_rss_bytes", rss);
   w.key("pools");

@@ -68,6 +68,10 @@ std::uint64_t DropLedger::total_drops() const noexcept {
 
 void DropLedger::reset() noexcept {
   for (auto& per_class : counts_) per_class.fill(0);
+  // Bound registry counters mirror counts_; the shared sink is left alone.
+  for (telemetry::Counter* c : t_reasons_) {
+    if (c != &telemetry::Counter::sink()) c->reset();
+  }
 }
 
 void DropLedger::bind_telemetry(telemetry::Registry& reg,
@@ -82,11 +86,7 @@ void FaultPlan::configure(const FaultConfig& cfg) {
   cfg_ = cfg;
   rng_ = sim::Rng(cfg.seed);
   counters_ = FaultCounters{};
-#if PRISM_FAULTS_ENABLED
   active_ = cfg.any_active();
-#else
-  active_ = false;
-#endif
 }
 
 FaultPlan::WireActions FaultPlan::on_wire_frame(net::PacketBuf& frame) {
@@ -217,14 +217,9 @@ std::string faults_json(const FaultLayer& layer) {
   const FaultCounters& c = plan.counters();
   telemetry::JsonWriter w;
   w.begin_object();
-  w.member("compiled_in", PRISM_FAULTS_ENABLED != 0);
+  w.member("compiled_in", true);
   w.member("active", plan.active());
-  // A compiled-out plan never draws from its RNG, so the configured seed
-  // is inert; rendering it would make behaviourally identical runs
-  // snapshot differently (the determinism suite diffs this document).
-  w.member("seed",
-           PRISM_FAULTS_ENABLED != 0 ? plan.config().seed
-                                     : std::uint64_t{0});
+  w.member("seed", plan.config().seed);
   w.key("injected").begin_object();
   w.member("wire_drops", c.wire_drops);
   w.member("wire_corrupts", c.wire_corrupts);

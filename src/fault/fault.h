@@ -16,11 +16,8 @@
 //
 // can be asserted per class, to the packet (bench/stress_fault.cpp).
 //
-// Building with -DPRISM_FAULTS=OFF (cmake) defines PRISM_FAULTS_ENABLED=0:
-// the classes still compile (so configs and proc files keep working) but
-// every hot-path hook compiles down to nothing and FaultPlan::configure
-// refuses to arm, keeping the no-fault fast path identical to a build that
-// never heard of this header.
+// A plan that is never configured (or configured with every rate at zero)
+// stays unarmed: each hot-path hook then costs one flag check.
 #pragma once
 
 #include <array>
@@ -34,9 +31,8 @@
 #include "sim/time.h"
 #include "telemetry/metrics.h"
 
-#ifndef PRISM_FAULTS_ENABLED
+// Always compiled in; the benchmark's run manifest still prints this.
 #define PRISM_FAULTS_ENABLED 1
-#endif
 
 namespace prism::fault {
 
@@ -122,6 +118,7 @@ class DropLedger {
   /// Grand total across reasons and classes.
   std::uint64_t total_drops() const noexcept;
 
+  /// Zeroes every count, including the bound registry counters.
   void reset() noexcept;
 
   /// Registers one counter per reason under `prefix`
@@ -244,7 +241,7 @@ class FaultPlan {
   FaultPlan() : rng_(1) {}
 
   /// Arms the plan: installs the config, reseeds the RNG, zeroes the
-  /// counters. Under PRISM_FAULTS_ENABLED=0 the plan never arms.
+  /// counters.
   void configure(const FaultConfig& cfg);
 
   bool active() const noexcept { return active_; }

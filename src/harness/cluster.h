@@ -105,9 +105,7 @@ class Cluster {
   /// per-round record rings (0 = LaneProfiler's default) and
   /// `sample_every` the wall-clock sampling period (0 = default; 1 =
   /// every round, for tests and fine-grained traces); both ignored when
-  /// the profiler already exists. Under -DPRISM_TELEMETRY=OFF the
-  /// profiler is created but the engine ignores the attach, so every
-  /// reading stays zero.
+  /// the profiler already exists.
   sim::LaneProfiler& enable_lane_profiler(std::size_t round_capacity = 0,
                                           std::uint64_t sample_every = 0);
   /// nullptr until enable_lane_profiler() is called.

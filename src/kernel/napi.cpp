@@ -35,7 +35,6 @@ PollOutcome QueueNapi::poll(int batch, sim::Time start) {
   while (out.processed < batch && !q.empty()) {
     SkbPtr skb = std::move(q.front());
     q.pop_front();
-#if PRISM_TELEMETRY_ENABLED
     if (recorder_ != nullptr && skb->traced && skb->parsed) {
       // Queue wait replayed against the head class captured at enqueue;
       // the anomaly bank turns (wait, head) into inversion findings.
@@ -45,7 +44,6 @@ PollOutcome QueueNapi::poll(int batch, sim::Time start) {
                             dequeued - last_done_stamp(*skb),
                             skb->head_class_at_enqueue, dequeued);
     }
-#endif
     out.cost += stage_.process_one(std::move(skb), start + out.cost, mult);
     ++out.processed;
   }

@@ -20,10 +20,6 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 
-#ifndef PRISM_OVERLOAD_ENABLED
-#define PRISM_OVERLOAD_ENABLED 1
-#endif
-
 namespace prism::kernel {
 
 /// Number of packet priority levels. Level 0 is best-effort (vanilla's
@@ -126,7 +122,6 @@ class NapiStruct {
   /// false and counts a drop when that queue is full, as netif_rx does.
   bool enqueue(SkbPtr skb, int level) {
     level = clamp_level(level);
-#if PRISM_OVERLOAD_ENABLED
     if (admission_ != nullptr) {
       const auto verdict =
           admission_->admit(*skb, level, pending_total(), queue_limit);
@@ -143,14 +138,11 @@ class NapiStruct {
         return false;
       }
     }
-#endif
     auto& q = queues[static_cast<std::size_t>(level)];
     bool full = q.size() >= queue_limit;
-#if PRISM_FAULTS_ENABLED
     if (!full && faults_ != nullptr && faults_->plan.force_backlog_full()) {
       full = true;
     }
-#endif
     if (full) {
       ++(level > 0 ? high_dropped_ : low_dropped_);
       t_dropped_->inc();
@@ -162,7 +154,6 @@ class NapiStruct {
       // buffer storage) through the pools.
       return false;
     }
-#if PRISM_TELEMETRY_ENABLED
     if (recorder_ != nullptr && skb->traced && skb->parsed) {
       // Observability only: nothing here alters cost or scheduling.
       const int head = head_class();
@@ -172,7 +163,6 @@ class NapiStruct {
                             static_cast<int>(pending_total()) + 1, head,
                             last_done_stamp(*skb));
     }
-#endif
     q.push_back(std::move(skb));
     t_enqueued_->inc();
     t_depth_->set(static_cast<std::int64_t>(q.size()));
@@ -196,7 +186,7 @@ class NapiStruct {
 
   /// Attaches an admission policy consulted before every enqueue (the
   /// host wires BacklogAdmission to the per-CPU backlog napis). nullptr
-  /// (default) admits everything. Compiled out with -DPRISM_OVERLOAD=OFF.
+  /// (default) admits everything.
   void set_admission(AdmissionPolicy* admission) noexcept {
     admission_ = admission;
   }
@@ -265,16 +255,11 @@ class NapiStruct {
   }
 
   void record_traced_drop(const Skb& skb, fault::DropReason reason) {
-#if PRISM_TELEMETRY_ENABLED
     if (recorder_ != nullptr && skb.traced && skb.parsed) {
       recorder_->on_drop(net::flow_of(*skb.parsed), recorder_stage_,
                          skb.observed_class, static_cast<int>(reason),
                          last_done_stamp(skb));
     }
-#else
-    (void)skb;
-    (void)reason;
-#endif
   }
 
   telemetry::FlightRecorder* recorder_ = nullptr;

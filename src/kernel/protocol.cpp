@@ -36,7 +36,6 @@ sim::Duration SocketDeliverer::deliver(Skb& skb, sim::Time at,
     return 0;
   }
   skb.ts.socket_enqueue = at;
-#if PRISM_TELEMETRY_ENABLED
   // The journey [nic_rx, socket_enqueue] is complete: attribute it per
   // stage, once per skb (a GRO train shares its head's timestamps).
   if (ledger_ != nullptr) ledger_->record_delivery(skb.ts, skb.priority);
@@ -53,7 +52,6 @@ sim::Duration SocketDeliverer::deliver(Skb& skb, sim::Time at,
     recorder_->on_deliver(net::flow_of(*skb.parsed), observed,
                           skb.ts.nic_rx >= 0 ? at - skb.ts.nic_rx : 0, at);
   }
-#endif
   sim::Duration extra =
       deliver_frame(skb, skb.buf.bytes(), skb.parsed ? &*skb.parsed : nullptr,
                     at, ns, skb.gro_chain.empty());
@@ -82,7 +80,6 @@ sim::Duration SocketDeliverer::deliver_frame(
     }
     return 0;
   }
-#if PRISM_TELEMETRY_ENABLED
   // Per-flow accounting (one record per wire frame, so a GRO train
   // counts each merged segment). e2e < 0 skips the latency histogram
   // for synthetically injected skbs without a nic_rx stamp. `reason` is
@@ -101,9 +98,6 @@ sim::Duration SocketDeliverer::deliver_frame(
                          skb.ts.nic_rx >= 0 ? at - skb.ts.nic_rx : -1, at,
                          delivered_ok, reason);
   };
-#else
-  const auto account = [](bool, int) {};
-#endif
   if (parsed->udp) {
     // Receive-side L4 validation: a UDP checksum of zero means "not
     // computed" (RFC 768; VXLAN outer headers use it per RFC 7348) and
@@ -133,7 +127,6 @@ sim::Duration SocketDeliverer::deliver_frame(
       account(false, static_cast<int>(fault::DropReason::kNoSocket));
       return 0;
     }
-#if PRISM_FAULTS_ENABLED
     if (faults_ != nullptr && faults_->plan.buf_alloc_fails()) {
       // Injected BufferPool starvation at the socket-buffer copy: the
       // kernel's sk_rmem allocation failure, dropped before any datagram
@@ -142,7 +135,6 @@ sim::Duration SocketDeliverer::deliver_frame(
       account(false, static_cast<int>(fault::DropReason::kAllocFail));
       return 0;
     }
-#endif
     Datagram d;
     d.src_ip = parsed->ip.src;
     d.src_port = parsed->udp->src_port;
@@ -156,9 +148,7 @@ sim::Duration SocketDeliverer::deliver_frame(
     sock->enqueue(std::move(d), at);
     ++delivered_;
     t_delivered_->inc();
-#if PRISM_OVERLOAD_ENABLED
     if (governor_ != nullptr) governor_->note_delivery();
-#endif
     account(true, -1);
     return 0;
   }
@@ -188,9 +178,7 @@ sim::Duration SocketDeliverer::deliver_frame(
     }
     ++delivered_;
     t_delivered_->inc();
-#if PRISM_OVERLOAD_ENABLED
     if (governor_ != nullptr) governor_->note_delivery();
-#endif
     account(true, -1);
     return ep->handle_segment(*parsed->tcp, parsed->l4_payload, at,
                               final_frame);

@@ -16,11 +16,9 @@ std::optional<Datagram> UdpSocket::try_recv() {
   if (queue_.empty()) return std::nullopt;
   Datagram d = std::move(queue_.front());
   queue_.pop_front();
-#if PRISM_TELEMETRY_ENABLED
   if (ledger_ != nullptr) {
     ledger_->record_socket_wait(sim_.now() - d.enqueued_at, d.priority);
   }
-#endif
   return d;
 }
 

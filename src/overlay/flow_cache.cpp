@@ -1,10 +1,11 @@
 #include "overlay/flow_cache.h"
 
+#include <initializer_list>
+
 namespace prism::overlay {
 
 const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
                                         std::uint32_t vni) {
-#if PRISM_FLOWCACHE_ENABLED
   if (!enabled_) return nullptr;
   const FlowCacheKey key{flow, vni};
   const auto it = map_.find(key);
@@ -30,17 +31,11 @@ const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
   ++hits_;
   t_hits_->inc();
   return &it->second->second;
-#else
-  (void)flow;
-  (void)vni;
-  return nullptr;
-#endif
 }
 
 void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
                        Netns* dst, int priority,
                        std::uint64_t generation) {
-#if PRISM_FLOWCACHE_ENABLED
   if (!enabled_ || dst == nullptr) return;
   const FlowCacheKey key{flow, vni};
   const auto it = map_.find(key);
@@ -63,13 +58,6 @@ void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
   map_.emplace(key, lru_.begin());
   ++insertions_;
   t_insertions_->inc();
-#else
-  (void)flow;
-  (void)vni;
-  (void)dst;
-  (void)priority;
-  (void)generation;
-#endif
 }
 
 void FlowCache::reset() {
@@ -81,6 +69,12 @@ void FlowCache::reset() {
   insertions_ = 0;
   evictions_ = 0;
   invalidations_ = 0;
+  // Bound registry counters mirror the members; the shared sink is left
+  // alone because other unbound components write to it too.
+  for (telemetry::Counter* c : {t_hits_, t_misses_, t_stale_, t_insertions_,
+                                t_evictions_, t_invalidations_}) {
+    if (c != &telemetry::Counter::sink()) c->reset();
+  }
 }
 
 void FlowCache::bind_telemetry(telemetry::Registry& reg,

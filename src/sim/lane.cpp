@@ -210,15 +210,14 @@ void LaneSet::worker_loop(int worker, int threads, Time deadline,
                           Barrier& barrier) {
   const int n = num_lanes();
   // Profiling instruments the loop with steady_clock reads; detached
-  // (prof == nullptr, always the case under -DPRISM_TELEMETRY=OFF) the
-  // loop pays one predictable branch per phase. Clock reads and record
-  // stores are sampled (1 in sample_every() rounds) because rounds are
-  // often shorter than the six clockgettime calls full timing costs;
-  // an unsampled round pays only the sampling check — the exact totals
-  // come from counters the engine maintains anyway, snapshotted in
-  // begin/finish_profiled_run(). All readings observe the schedule
-  // without influencing it, so profiled runs stay byte-identical to
-  // unprofiled ones.
+  // (prof == nullptr) the loop pays one predictable branch per phase.
+  // Clock reads and record stores are sampled (1 in sample_every()
+  // rounds) because rounds are often shorter than the six clockgettime
+  // calls full timing costs; an unsampled round pays only the sampling
+  // check — the exact totals come from counters the engine maintains
+  // anyway, snapshotted in begin/finish_profiled_run(). All readings
+  // observe the schedule without influencing it, so profiled runs stay
+  // byte-identical to unprofiled ones.
   LaneProfiler* const prof = profiler_;
   const std::uint64_t sample_every =
       prof != nullptr ? prof->sample_every() : 1;
@@ -391,16 +390,6 @@ void LaneSet::finish_profiled_run() {
         lane_inbox_spills(i) - run_spills0_[si]);
   }
   profiler_->end_run(messages_posted() - run_messages0_);
-}
-
-void LaneSet::set_profiler(LaneProfiler* profiler) noexcept {
-#if PRISM_TELEMETRY_ENABLED
-  profiler_ = profiler;
-#else
-  // Telemetry compiled out: the engine stays unprofiled (and pays no
-  // branch — profiler_ is never non-null).
-  (void)profiler;
-#endif
 }
 
 std::uint64_t LaneSet::events_executed() const {

@@ -117,10 +117,11 @@ class LaneSet {
   /// Attaches a wall-clock profiler (sim/lane_profiler.h): every window
   /// round then records per-lane busy/window/inbox stats and per-worker
   /// barrier/idle accounting. nullptr detaches; a detached engine pays
-  /// one branch per round. Compiled out (the attach is ignored) under
-  /// -DPRISM_TELEMETRY=OFF. Must not be changed while run_until() is
+  /// one branch per round. Must not be changed while run_until() is
   /// executing.
-  void set_profiler(LaneProfiler* profiler) noexcept;
+  void set_profiler(LaneProfiler* profiler) noexcept {
+    profiler_ = profiler;
+  }
   LaneProfiler* profiler() const noexcept { return profiler_; }
 
   static constexpr Time kMaxTime = std::numeric_limits<Time>::max();

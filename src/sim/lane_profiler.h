@@ -16,9 +16,8 @@
 // lands in a ring preallocated at attach time (overwrites are counted,
 // never silent), and the per-lane / per-worker totals are plain adds into
 // preallocated slots. The LaneSet only touches the profiler through a
-// nullable pointer, so a detached engine pays a single branch per round;
-// under -DPRISM_TELEMETRY=OFF LaneSet::set_profiler() ignores the
-// attach entirely and the engine compiles back to its unprofiled shape.
+// nullable pointer, so a detached engine (set_profiler(nullptr), the
+// default) pays a single branch per round.
 //
 // Wall-clock readings are *sampled*: rounds are often shorter than a
 // microsecond, so reading the clock six times per round would cost more
@@ -49,10 +48,6 @@
 #include <vector>
 
 #include "sim/time.h"
-
-#ifndef PRISM_TELEMETRY_ENABLED
-#define PRISM_TELEMETRY_ENABLED 1
-#endif
 
 namespace prism::sim {
 

@@ -8,10 +8,9 @@
 // handle — no hashing, no locking, no allocation in steady state.
 //
 // Unbound instrumentation points write to a process-wide sink counter, so
-// hot paths never branch on "is telemetry attached". Building with
-// -DPRISM_TELEMETRY_ENABLED=0 (cmake -DPRISM_TELEMETRY=OFF) compiles the
-// increments out entirely; registration and snapshotting still work, every
-// value just reads 0.
+// hot paths never branch on "is telemetry attached". Counters are always
+// on; the costlier recorders (LatencyLedger, FlowTable, FlightRecorder,
+// AnomalyBank) each have a runtime switch.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +20,8 @@
 #include <unordered_map>
 #include <vector>
 
-#ifndef PRISM_TELEMETRY_ENABLED
+// Always compiled in; the benchmark's run manifest still prints this.
 #define PRISM_TELEMETRY_ENABLED 1
-#endif
 
 namespace prism::telemetry {
 
@@ -31,13 +29,7 @@ namespace prism::telemetry {
 /// sink's) lifetime; increments are a single add on the hot path.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) noexcept {
-#if PRISM_TELEMETRY_ENABLED
-    value_ += n;
-#else
-    (void)n;
-#endif
-  }
+  void inc(std::uint64_t n = 1) noexcept { value_ += n; }
 
   std::uint64_t value() const noexcept { return value_; }
   void reset() noexcept { value_ = 0; }
@@ -55,12 +47,8 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#if PRISM_TELEMETRY_ENABLED
     value_ = v;
     if (v > max_) max_ = v;
-#else
-    (void)v;
-#endif
   }
 
   void add(std::int64_t d) noexcept { set(value_ + d); }

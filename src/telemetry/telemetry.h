@@ -14,8 +14,7 @@ namespace prism::telemetry {
 /// Everything one Host's instrumentation binds to. The registry is always
 /// live (counters are near-free); the tracer only receives spans while a
 /// component has it attached. The latency ledger and flow table record on
-/// every delivery unless disabled at runtime (set_enabled) or compiled
-/// out (-DPRISM_TELEMETRY=OFF).
+/// every delivery unless disabled at runtime (set_enabled).
 struct Telemetry {
   Registry registry;
   SpanTracer tracer;

@@ -56,6 +56,25 @@ TEST(DropLedgerTest, CountsPerReasonAndClass) {
   EXPECT_EQ(ledger.total_drops(), 0u);
 }
 
+TEST(DropLedgerTest, ResetZeroesBoundRegistryCounters) {
+  telemetry::Registry reg;
+  DropLedger ledger;
+  ledger.bind_telemetry(reg, "faults.");
+  ledger.record(DropReason::kRingFull, 1);
+  ledger.record(DropReason::kChecksum, 3);
+  ASSERT_EQ(reg.counter_value("faults.drop.ring_full"), 1u);
+  ledger.reset();
+  EXPECT_EQ(reg.counter_value("faults.drop.ring_full"),
+            ledger.total(DropReason::kRingFull));
+  EXPECT_EQ(reg.counter_value("faults.drop.checksum"),
+            ledger.total(DropReason::kChecksum));
+  EXPECT_EQ(reg.counter_value("faults.drop.checksum"), 0u);
+  // Counting resumes from zero in both views.
+  ledger.record(DropReason::kRingFull, 0);
+  EXPECT_EQ(reg.counter_value("faults.drop.ring_full"), 1u);
+  EXPECT_EQ(ledger.total(DropReason::kRingFull), 1u);
+}
+
 TEST(DropLedgerTest, OutOfRangeClassesClamp) {
   DropLedger ledger;
   ledger.record(DropReason::kWire, -5);
@@ -109,20 +128,7 @@ TEST(FaultPlanTest, InactiveWithAllRatesZero) {
   EXPECT_FALSE(plan.active());
 }
 
-TEST(FaultPlanTest, CompiledOutPlanNeverArms) {
-#if PRISM_FAULTS_ENABLED
-  GTEST_SKIP() << "faults compiled in";
-#else
-  FaultPlan plan;
-  FaultConfig cfg;
-  cfg.wire_drop_rate = 1.0;
-  plan.configure(cfg);
-  EXPECT_FALSE(plan.active());
-#endif
-}
-
 TEST(FaultPlanTest, WireDropRateOneDropsEveryFrame) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   FaultPlan plan;
   FaultConfig cfg;
   cfg.wire_drop_rate = 1.0;
@@ -136,7 +142,6 @@ TEST(FaultPlanTest, WireDropRateOneDropsEveryFrame) {
 }
 
 TEST(FaultPlanTest, SameSeedSameWireDecisions) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   FaultConfig cfg;
   cfg.seed = 99;
   cfg.wire_drop_rate = 0.3;
@@ -162,7 +167,6 @@ TEST(FaultPlanTest, SameSeedSameWireDecisions) {
 }
 
 TEST(FaultPlanTest, PayloadOnlyCorruptionLeavesHeadersIntact) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   FaultPlan plan;
   FaultConfig cfg;
   cfg.wire_corrupt_rate = 1.0;
@@ -199,7 +203,6 @@ TEST(FaultPlanTest, PayloadOnlyCorruptionLeavesHeadersIntact) {
 }
 
 TEST(FaultPlanTest, TruncationShrinksFrame) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   FaultPlan plan;
   FaultConfig cfg;
   cfg.wire_truncate_rate = 1.0;
@@ -227,7 +230,6 @@ struct PoolBaseline {
 };
 
 TEST(FaultConservationTest, TotalWireDropNeitherDeliversNorLeaks) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   const PoolBaseline before = PoolBaseline::capture();
   {
     TestbedConfig cfg;
@@ -258,7 +260,6 @@ TEST(FaultConservationTest, TotalWireDropNeitherDeliversNorLeaks) {
 }
 
 TEST(FaultConservationTest, MixedFaultsConservePerClass) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   TestbedConfig cfg;
   cfg.mode = kernel::NapiMode::kPrismBatch;
   cfg.server_faults.seed = 11;
@@ -309,7 +310,6 @@ TEST(FaultConservationTest, MixedFaultsConservePerClass) {
 }
 
 TEST(FaultConservationTest, IrqFaultsDelayButNeverDrop) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   TestbedConfig cfg;
   cfg.server_faults.seed = 3;
   cfg.server_faults.irq_delay_rate = 0.5;
@@ -332,8 +332,8 @@ TEST(FaultConservationTest, IrqFaultsDelayButNeverDrop) {
 }
 
 TEST(FaultConservationTest, RcvbufOverflowAccountedInLedger) {
-  // Natural (non-injected) overflow: the ledger accounting is active even
-  // in builds with the fault hooks compiled out.
+  // Natural (non-injected) overflow: the ledger accounts it with no
+  // fault plan armed.
   Testbed tb;
   auto& sock =
       tb.server().udp_bind(tb.server().root_ns(), 9000, /*capacity=*/2);
@@ -355,7 +355,6 @@ TEST(FaultConservationTest, RcvbufOverflowAccountedInLedger) {
 }
 
 TEST(FaultDeterminismTest, SameSeedIdenticalSnapshotsPoolsOnAndOff) {
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   const auto run = [](bool pools) {
     kernel::SkbPool::instance().set_enabled(pools);
     sim::BufferPool::instance().set_enabled(pools);

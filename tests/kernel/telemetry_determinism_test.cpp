@@ -79,7 +79,6 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   tb.sim().run_until(sim::milliseconds(5));
   tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
 
-#if PRISM_TELEMETRY_ENABLED
   std::uint64_t attributed = 0;
   for (int level = 0; level < telemetry::kNumLatencyClasses; ++level) {
     attributed += tb.server()
@@ -96,9 +95,6 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
     EXPECT_EQ(attributed, 0u);
     EXPECT_EQ(tb.server().flow_table().size(), 0u);
   }
-#else
-  EXPECT_EQ(tracer.recorded(), 0u);  // compiled out: nothing records
-#endif
 
   RunResult r;
   r.poll_order = trace.device_order();

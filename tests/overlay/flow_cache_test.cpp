@@ -46,8 +46,6 @@ TEST(FlowCacheTest, DisabledCacheNeverHitsOrFills) {
   EXPECT_EQ(cache.misses(), 0u);
 }
 
-#if PRISM_FLOWCACHE_ENABLED
-
 TEST(FlowCacheTest, InsertThenLookupReplaysTransform) {
   FlowCache cache;
   cache.set_enabled(true);
@@ -143,7 +141,25 @@ TEST(FlowCacheTest, ResetClearsEntriesAndCountersKeepsGeneration) {
   EXPECT_TRUE(cache.enabled());
 }
 
-#endif  // PRISM_FLOWCACHE_ENABLED
+TEST(FlowCacheTest, ResetZeroesBoundRegistryCounters) {
+  telemetry::Registry reg;
+  FlowCache cache;
+  cache.bind_telemetry(reg, "flowcache.");
+  cache.set_enabled(true);
+  Netns ns = make_ns(2);
+  EXPECT_EQ(cache.lookup(tuple(1), 42), nullptr);  // miss
+  cache.insert(tuple(1), 42, &ns, 0, cache.generation());
+  EXPECT_NE(cache.lookup(tuple(1), 42), nullptr);  // hit
+  cache.invalidate();
+  ASSERT_EQ(reg.counter_value("flowcache.hits"), 1u);
+  cache.reset();
+  EXPECT_EQ(reg.counter_value("flowcache.hits"), cache.hits());
+  EXPECT_EQ(reg.counter_value("flowcache.misses"), cache.misses());
+  EXPECT_EQ(reg.counter_value("flowcache.insertions"), cache.insertions());
+  EXPECT_EQ(reg.counter_value("flowcache.invalidations"),
+            cache.invalidations());
+  EXPECT_EQ(reg.counter_value("flowcache.hits"), 0u);
+}
 
 // The satellite FDB fixes: add/remove report whether they changed the
 // table, remaps are counted as overwrites, and every mutation bumps the
@@ -183,8 +199,6 @@ void send_n(harness::Testbed& tb, Netns& from, Netns& to, int n,
   }
   tb.sim().run();
 }
-
-#if PRISM_FLOWCACHE_ENABLED
 
 TEST(FlowCacheE2ETest, SteadyFlowHitsAndClassificationMatchesPriorityDb) {
   harness::TestbedConfig tc;
@@ -254,7 +268,6 @@ TEST(FlowCacheE2ETest, FdbRemapNeverDeliversThroughStaleTransform) {
       no_socket_before + static_cast<std::uint64_t>(kBatch));
 }
 
-#if PRISM_FAULTS_ENABLED
 TEST(FlowCacheE2ETest, DecapCorruptionInvalidatesAndConservationHolds) {
   harness::TestbedConfig tc;
   tc.mode = kernel::NapiMode::kPrismSync;
@@ -288,7 +301,6 @@ TEST(FlowCacheE2ETest, DecapCorruptionInvalidatesAndConservationHolds) {
             static_cast<std::uint64_t>(kPackets));
   EXPECT_EQ(tb.server().faults().drops.total_drops(), checksum_drops);
 }
-#endif  // PRISM_FAULTS_ENABLED
 
 TEST(FlowCacheE2ETest, HostMutationsBumpGeneration) {
   harness::TestbedConfig tc;
@@ -325,8 +337,6 @@ TEST(FlowCacheE2ETest, CacheOffByDefaultAndDatapathIgnoresIt) {
   EXPECT_EQ(tb.server().flow_cache().hits(), 0u);
   EXPECT_EQ(tb.server().flow_cache().misses(), 0u);
 }
-
-#endif  // PRISM_FLOWCACHE_ENABLED
 
 }  // namespace
 }  // namespace prism::overlay

@@ -2,9 +2,7 @@
 // round's time, the exact totals match the engine's own counters, the
 // critical-path attribution covers every round, spill/inbox accounting
 // is byte-identical across thread counts, and an attached profiler never
-// perturbs the schedule. Under -DPRISM_TELEMETRY=OFF the attach is
-// ignored and every reading stays zero — the CI telemetry-off job runs
-// exactly this suite to prove it.
+// perturbs the schedule.
 #include "sim/lane_profiler.h"
 
 #include <cstdint>
@@ -60,31 +58,8 @@ TEST(LaneProfilerTest, AttachFollowsTelemetryBuild) {
   LaneSet set(2);
   LaneProfiler prof(128, 1);
   set.set_profiler(&prof);
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(set.profiler(), &prof);
-#else
-  // Compiled out: the attach is ignored and the engine stays unprofiled.
-  EXPECT_EQ(set.profiler(), nullptr);
-#endif
   set.set_profiler(nullptr);
-}
-
-TEST(LaneProfilerTest, CompiledOutReadsAllZero) {
-#if PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled in; covered by the other tests";
-#else
-  LaneProfiler prof(128, 1);
-  const RunResult r = run_ping_pong(1, &prof);
-  ASSERT_GT(r.events, 0u);
-  EXPECT_EQ(prof.rounds_recorded(), 0u);
-  EXPECT_EQ(prof.messages_posted(), 0u);
-  EXPECT_EQ(prof.num_lanes(), 0);
-  EXPECT_EQ(prof.num_workers(), 0);
-  EXPECT_EQ(prof.lane_round_count(), 0u);
-  EXPECT_EQ(prof.worker_round_count(), 0u);
-  EXPECT_EQ(prof.busy_imbalance(), 0.0);
-  EXPECT_EQ(prof.event_imbalance(), 0.0);
-#endif
 }
 
 TEST(LaneProfilerTest, ProfiledRunMatchesUnprofiledRun) {
@@ -101,9 +76,6 @@ TEST(LaneProfilerTest, ProfiledRunMatchesUnprofiledRun) {
 }
 
 TEST(LaneProfilerTest, WorkerRoundTimeConservation) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: no wall-clock records";
-#else
   for (int threads : {1, 2}) {
     LaneProfiler prof(1 << 12, 1);  // sample every round
     run_ping_pong(threads, &prof);
@@ -121,13 +93,9 @@ TEST(LaneProfilerTest, WorkerRoundTimeConservation) {
       EXPECT_EQ(t.barrier_wait_ns + t.busy_ns + t.idle_ns(), t.wall_ns);
     }
   }
-#endif
 }
 
 TEST(LaneProfilerTest, ExactTotalsMatchEngineCounters) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#else
   LaneSet set(2);
   set.register_link(0, 1, 100);
   LaneProfiler prof(256, 4);
@@ -163,7 +131,6 @@ TEST(LaneProfilerTest, ExactTotalsMatchEngineCounters) {
   EXPECT_GT(prof.lane(0).sampled_rounds, 0u);
   EXPECT_LT(prof.lane(0).sampled_rounds, prof.rounds_recorded());
   set.set_profiler(nullptr);
-#endif
 }
 
 TEST(LaneProfilerTest, InboxAccountingIdenticalAcrossThreadCounts) {
@@ -189,7 +156,6 @@ TEST(LaneProfilerTest, InboxAccountingIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.second, 3000u);
   EXPECT_EQ(serial, parallel);
 
-#if PRISM_TELEMETRY_ENABLED
   // The profiler's per-lane totals see the same numbers at any thread
   // count, and attaching it does not change the engine's accounting.
   LaneProfiler p1(64, 8);
@@ -203,13 +169,9 @@ TEST(LaneProfilerTest, InboxAccountingIdenticalAcrossThreadCounts) {
   EXPECT_EQ(p1.lane(1).inbox_msgs, 3000u);
   EXPECT_EQ(p2.lane(1).inbox_msgs, 3000u);
   EXPECT_EQ(p1.lane(1).inbox_high_water, p2.lane(1).inbox_high_water);
-#endif
 }
 
 TEST(LaneProfilerTest, CriticalLaneAttributionFollowsTheBusyLane) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#else
   // Lane 0 runs a dense local schedule; lane 1 only ever receives a
   // couple of messages. Lane 0's next event bounds nearly every round.
   LaneSet set(2);
@@ -228,13 +190,9 @@ TEST(LaneProfilerTest, CriticalLaneAttributionFollowsTheBusyLane) {
             prof.rounds_recorded());
   EXPECT_GT(prof.event_imbalance(), 1.5);
   set.set_profiler(nullptr);
-#endif
 }
 
 TEST(LaneProfilerTest, RingRetentionDropsOldestAndCounts) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#else
   LaneProfiler prof(8, 1);  // tiny ring, sample every round
   run_ping_pong(1, &prof);
   ASSERT_GT(prof.rounds_recorded(), 8u);
@@ -244,13 +202,9 @@ TEST(LaneProfilerTest, RingRetentionDropsOldestAndCounts) {
   for (std::size_t i = 1; i < prof.lane_round_count(); ++i) {
     EXPECT_LE(prof.lane_round(i - 1).round, prof.lane_round(i).round);
   }
-#endif
 }
 
 TEST(LaneProfilerTest, ResetClearsEverything) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#else
   LaneProfiler prof(64, 1);
   run_ping_pong(1, &prof);
   ASSERT_GT(prof.rounds_recorded(), 0u);
@@ -264,7 +218,6 @@ TEST(LaneProfilerTest, ResetClearsEverything) {
   // A fresh capture after reset works and counts from zero again.
   run_ping_pong(1, &prof);
   EXPECT_GT(prof.rounds_recorded(), 0u);
-#endif
 }
 
 }  // namespace

@@ -29,14 +29,9 @@ TEST(RollupTest, MergeCountersSumsByNameInFirstSeenOrder) {
   EXPECT_EQ(merged[0].name, "rx");
   EXPECT_EQ(merged[1].name, "tx");
   EXPECT_EQ(merged[2].name, "drops");
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(merged[0].value, 3u);
   EXPECT_EQ(merged[1].value, 6u);
   EXPECT_EQ(merged[2].value, 2u);
-#else
-  // Increments compile out; the merge still sees every registered name.
-  for (const auto& c : merged) EXPECT_EQ(c.value, 0u);
-#endif
   // Null registries are tolerated (a host that never initialized).
   EXPECT_EQ(merge_counters({nullptr, &a}).size(), 2u);
 }
@@ -50,15 +45,10 @@ TEST(RollupTest, MergeGaugesSumsValuesAndHighWaters) {
   const auto merged = merge_gauges({&a, &b});
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].name, "backlog");
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(merged[0].value, 13);
   // Summed high-waters: a conservative fleet-wide bound (the per-host
   // maxima need not have coincided in time).
   EXPECT_EQ(merged[0].max_value, 17);
-#else
-  EXPECT_EQ(merged[0].value, 0);
-  EXPECT_EQ(merged[0].max_value, 0);
-#endif
 }
 
 TEST(RollupTest, MergedRegistryJsonHasBothSections) {
@@ -68,12 +58,8 @@ TEST(RollupTest, MergedRegistryJsonHasBothSections) {
   JsonWriter w;
   write_merged_registry_json(w, {&a});
   const std::string doc = w.take();
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_NE(doc.find("\"counters\":{\"rx\":4}"), npos) << doc;
   EXPECT_NE(doc.find("\"depth\":{\"value\":2,\"max\":2}"), npos) << doc;
-#else
-  EXPECT_NE(doc.find("\"counters\":{\"rx\":0}"), npos) << doc;
-#endif
 }
 
 TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {
@@ -86,7 +72,6 @@ TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {
   write_merged_latency_json(w, {&a, &b, nullptr});
   const std::string doc = w.take();
   EXPECT_NE(doc.find("\"hosts\":2"), npos) << doc;
-#if PRISM_TELEMETRY_ENABLED
   const auto& ha = a.histogram(LatencyStage::kIrqToPoll, 0);
   const auto& hb = b.histogram(LatencyStage::kIrqToPoll, 0);
   ASSERT_EQ(ha.count() + hb.count(), 3u);
@@ -94,21 +79,13 @@ TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {
   // exact sum across both hosts.
   EXPECT_NE(doc.find("\"count\":3"), npos) << doc;
   EXPECT_NE(doc.find("\"sum_ns\":4500"), npos) << doc;
-#else
-  // Recording compiles out: no stage rows at all.
-  EXPECT_NE(doc.find("\"stages\":[]"), npos) << doc;
-#endif
 }
 
 TEST(RollupTest, LanesJsonWithoutProfilerIsAnHonestStub) {
   const std::string doc = lanes_json(nullptr);
   EXPECT_NE(doc.find("\"attached\":false"), npos) << doc;
   EXPECT_NE(doc.find("\"rounds\":0"), npos) << doc;
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_NE(doc.find("\"compiled_in\":true"), npos) << doc;
-#else
-  EXPECT_NE(doc.find("\"compiled_in\":false"), npos) << doc;
-#endif
 }
 
 }  // namespace

@@ -71,9 +71,6 @@ TEST(NetDevTest, RendersHeaderAndDeviceRows) {
 }
 
 TEST(RegistryJsonTest, EmitsCountersAndGauges) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: counters read 0";
-#endif
   Registry reg;
   reg.counter("nic.rx_frames").inc(123);
   reg.counter("cpu0.packets").inc(45);

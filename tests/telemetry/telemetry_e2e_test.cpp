@@ -77,9 +77,6 @@ class TelemetryE2eTest : public ::testing::Test {
 };
 
 TEST_F(TelemetryE2eTest, RegistryMatchesComponentGroundTruth) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: counters read 0";
-#endif
   run(kernel::NapiMode::kVanilla);
   auto& server = tb_->server();
   auto& m = server.metrics();
@@ -121,9 +118,6 @@ TEST_F(TelemetryE2eTest, RegistryMatchesComponentGroundTruth) {
 }
 
 TEST_F(TelemetryE2eTest, DeliveredPlusDroppedReconciles) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: counters read 0";
-#endif
   run(kernel::NapiMode::kPrismBatch);
   auto& server = tb_->server();
   auto& m = server.metrics();
@@ -163,9 +157,6 @@ TEST_F(TelemetryE2eTest, DeliveredPlusDroppedReconciles) {
 }
 
 TEST_F(TelemetryE2eTest, FlowLimitColumnReconcilesWithLedger) {
-#if !PRISM_OVERLOAD_ENABLED
-  GTEST_SKIP() << "overload control compiled out: flow_limit reads 0";
-#else
   // A single hot flow hammering a shrunken backlog: the flow limiter
   // convicts it, and the softnet_stat flow_limit_count column, the
   // per-CPU admission counters, and the DropLedger must all agree.
@@ -222,7 +213,6 @@ TEST_F(TelemetryE2eTest, FlowLimitColumnReconcilesWithLedger) {
     }
   }
   EXPECT_EQ(rendered_total, column_total);
-#endif
 }
 
 TEST_F(TelemetryE2eTest, ProcFilesExposeTelemetry) {
