@@ -68,17 +68,14 @@ std::uint64_t DropLedger::total_drops() const noexcept {
 
 void DropLedger::reset() noexcept {
   for (auto& per_class : counts_) per_class.fill(0);
-  // Bound registry counters mirror counts_; the shared sink is left alone.
-  for (telemetry::Counter* c : t_reasons_) {
-    if (c != &telemetry::Counter::sink()) c->reset();
-  }
 }
 
 void DropLedger::bind_telemetry(telemetry::Registry& reg,
                                 const std::string& prefix) {
-  for (int r = 0; r < kNumDropReasons; ++r) {
-    t_reasons_[static_cast<std::size_t>(r)] = &reg.counter(
-        prefix + "drop." + drop_reason_name(static_cast<DropReason>(r)));
+  for (std::size_t r = 0; r < counts_.size(); ++r) {
+    const std::string name =
+        prefix + "drop." + drop_reason_name(static_cast<DropReason>(r));
+    for (const std::uint64_t& count : counts_[r]) reg.attach(name, count);
   }
 }
 

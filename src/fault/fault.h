@@ -81,6 +81,10 @@ class DropLedger {
   /// counted as unattributed instead of leaking their stamps.
   using Observer = std::function<void(DropReason, int)>;
 
+  DropLedger() = default;
+  DropLedger(const DropLedger&) = delete;
+  DropLedger& operator=(const DropLedger&) = delete;
+
   void set_classifier(Classifier c) { classifier_ = std::move(c); }
   void set_observer(Observer o) { observer_ = std::move(o); }
 
@@ -95,7 +99,6 @@ class DropLedger {
   void record(DropReason reason, int level) {
     const int cls = clamp_class(level);
     ++counts_[static_cast<std::size_t>(reason)][static_cast<std::size_t>(cls)];
-    t_reasons_[static_cast<std::size_t>(reason)]->inc();
     if (observer_) observer_(reason, cls);
   }
 
@@ -118,11 +121,11 @@ class DropLedger {
   /// Grand total across reasons and classes.
   std::uint64_t total_drops() const noexcept;
 
-  /// Zeroes every count, including the bound registry counters.
+  /// Zeroes every count.
   void reset() noexcept;
 
   /// Registers one counter per reason under `prefix`
-  /// (e.g. "faults.drop.ring_full").
+  /// (e.g. "faults.drop.ring_full"), reading the sum over classes.
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix);
 
  private:
@@ -136,14 +139,6 @@ class DropLedger {
       counts_{};
   Classifier classifier_;
   Observer observer_;
-  std::array<telemetry::Counter*, kNumDropReasons> t_reasons_ =
-      sink_counters();
-
-  static std::array<telemetry::Counter*, kNumDropReasons> sink_counters() {
-    std::array<telemetry::Counter*, kNumDropReasons> a;
-    a.fill(&telemetry::Counter::sink());
-    return a;
-  }
 };
 
 /// Fault rates and parameters. All rates are probabilities in [0, 1];

@@ -232,10 +232,10 @@ class Host {
     return *nic_napis_[static_cast<std::size_t>(queue)];
   }
 
-  /// The host's metrics registry + span tracer. Every component's
-  /// counters are registered at construction under stable prefixes
-  /// ("nic.q0.", "cpu0.", "overlay.br<vni>.", "sockets."); the hot path
-  /// only increments the resolved handles.
+  /// The host's metrics registry + span tracer. Every component attaches
+  /// its counter fields at construction under stable prefixes ("nic.q0.",
+  /// "cpu0.", "overlay.br<vni>.", "sockets."); the hot path only bumps
+  /// those fields, and the registry reads them at snapshot time.
   telemetry::Telemetry& telemetry() noexcept { return telemetry_; }
   telemetry::Registry& metrics() noexcept { return telemetry_.registry; }
 
@@ -303,11 +303,12 @@ class Host {
 
   sim::Simulator& sim_;
   HostConfig cfg_;
-  /// Declared before every component so the registry (whose counters the
-  /// components hold resolved pointers into) outlives them on teardown.
+  /// Declared before every component so the registry (which reads the
+  /// components' attached counter fields, and whose gauges they point
+  /// into) is destroyed last and never read after a component dies.
   telemetry::Telemetry telemetry_;
-  /// Declared right after the telemetry (its counters live in the
-  /// registry) and before every pipeline component that holds a pointer
+  /// Declared right after the telemetry (its drop counts are attached to
+  /// the registry) and before every pipeline component that holds a pointer
   /// into it, so it outlives them all on teardown.
   fault::FaultLayer faults_;
   /// Declared before the NIC and the per-CPU machinery: their IRQ

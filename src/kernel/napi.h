@@ -48,6 +48,9 @@ const char* to_string(NapiMode mode) noexcept;
 /// the processing cost.
 class PacketStage {
  public:
+  PacketStage() = default;
+  PacketStage(const PacketStage&) = delete;
+  PacketStage& operator=(const PacketStage&) = delete;
   virtual ~PacketStage() = default;
 
   /// Processes one skb at simulated instant `at` (the instant within the
@@ -127,7 +130,6 @@ class NapiStruct {
           admission_->admit(*skb, level, pending_total(), queue_limit);
       if (verdict != AdmissionPolicy::Verdict::kAdmit) {
         ++(level > 0 ? high_dropped_ : low_dropped_);
-        t_dropped_->inc();
         const auto reason = verdict == AdmissionPolicy::Verdict::kFlowLimit
                                 ? fault::DropReason::kFlowLimit
                                 : fault::DropReason::kOverloadShed;
@@ -145,7 +147,6 @@ class NapiStruct {
     }
     if (full) {
       ++(level > 0 ? high_dropped_ : low_dropped_);
-      t_dropped_->inc();
       if (faults_ != nullptr) {
         faults_->drops.record(fault::DropReason::kBacklogFull, level);
       }
@@ -164,7 +165,7 @@ class NapiStruct {
                             last_done_stamp(*skb));
     }
     q.push_back(std::move(skb));
-    t_enqueued_->inc();
+    ++enqueued_;
     t_depth_->set(static_cast<std::int64_t>(q.size()));
     return true;
   }
@@ -193,10 +194,11 @@ class NapiStruct {
 
   /// Binds this device's enqueue/drop counters and per-queue depth
   /// watermark under `prefix` (several devices may share a prefix for
-  /// aggregate counting). Unbound devices count into the telemetry sink.
+  /// aggregate counting). `dropped` sums both priority classes.
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_enqueued_ = &reg.counter(prefix + "enqueued");
-    t_dropped_ = &reg.counter(prefix + "dropped");
+    reg.attach(prefix + "enqueued", enqueued_);
+    reg.attach(prefix + "dropped", high_dropped_);
+    reg.attach(prefix + "dropped", low_dropped_);
     t_depth_ = &reg.gauge(prefix + "depth");
   }
 
@@ -271,8 +273,7 @@ class NapiStruct {
   AdmissionPolicy* admission_ = nullptr;
   std::uint64_t low_dropped_ = 0;
   std::uint64_t high_dropped_ = 0;
-  telemetry::Counter* t_enqueued_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dropped_ = &telemetry::Counter::sink();
+  std::uint64_t enqueued_ = 0;
   telemetry::Gauge* t_depth_ = &telemetry::Gauge::sink();
 };
 

@@ -30,15 +30,15 @@ void NetRxEngine::set_span_tracer(telemetry::SpanTracer* tracer,
 
 void NetRxEngine::bind_telemetry(telemetry::Registry& reg,
                                  const std::string& prefix) {
-  t_softirqs_ = &reg.counter(prefix + "softirqs");
-  t_polls_ = &reg.counter(prefix + "polls");
-  t_packets_ = &reg.counter(prefix + "packets");
-  t_time_squeeze_ = &reg.counter(prefix + "time_squeeze");
-  t_budget_squeeze_ = &reg.counter(prefix + "budget_squeeze");
-  t_time_budget_squeeze_ = &reg.counter(prefix + "time_budget_squeeze");
-  t_ksoftirqd_runs_ = &reg.counter(prefix + "ksoftirqd_runs");
-  t_requeues_ = &reg.counter(prefix + "requeues");
-  t_head_inserts_ = &reg.counter(prefix + "prism_head_inserts");
+  reg.attach(prefix + "softirqs", softirqs_);
+  reg.attach(prefix + "polls", polls_);
+  reg.attach(prefix + "packets", packets_);
+  reg.attach(prefix + "time_squeeze", time_squeezes_);
+  reg.attach(prefix + "budget_squeeze", budget_squeezes_);
+  reg.attach(prefix + "time_budget_squeeze", time_budget_squeezes_);
+  reg.attach(prefix + "ksoftirqd_runs", ksoftirqd_runs_);
+  reg.attach(prefix + "requeues", requeues_);
+  reg.attach(prefix + "prism_head_inserts", head_inserts_);
 }
 
 void NetRxEngine::napi_schedule(NapiStruct& napi, bool high) {
@@ -60,7 +60,6 @@ void NetRxEngine::napi_schedule(NapiStruct& napi, bool high) {
       if (head) {
         global_list_.push_front(&napi);
         ++head_inserts_;
-        t_head_inserts_->inc();
       } else {
         global_list_.push_back(&napi);
       }
@@ -69,7 +68,6 @@ void NetRxEngine::napi_schedule(NapiStruct& napi, bool high) {
       if (it != global_list_.end()) {
         global_list_.splice(global_list_.begin(), global_list_, it);
         ++head_inserts_;
-        t_head_inserts_->inc();
       }
       // If the device is not in the list it is being polled right now;
       // the post-poll requeue (has_high_pending -> head) handles it.
@@ -99,7 +97,6 @@ sim::Duration NetRxEngine::ksoftirqd_chunk() {
   if (in_softirq_ || softirq_pending_ || global_list_.empty()) return 0;
   ksoftirqd_ctx_ = true;
   ++ksoftirqd_runs_;
-  t_ksoftirqd_runs_->inc();
   return entry_chunk();
 }
 
@@ -108,7 +105,6 @@ sim::Duration NetRxEngine::entry_chunk() {
   in_softirq_ = true;
   softirq_started_ = sim_.now();
   ++softirqs_;
-  t_softirqs_->inc();
   budget_ = cost_.napi_budget;
   if (mode_ == NapiMode::kVanilla) {
     // Fig. 2 line 8: move the global POLL_LIST onto the local list. This
@@ -143,10 +139,8 @@ sim::Duration NetRxEngine::poll_chunk() {
   const PollOutcome out = dev->poll(cost_.napi_batch_size, poll_start);
   budget_ -= out.processed;
   ++polls_;
-  t_polls_->inc();
   if (governor_ != nullptr) governor_->note_poll();
   packets_ += static_cast<std::uint64_t>(out.processed);
-  t_packets_->inc(static_cast<std::uint64_t>(out.processed));
 
   if (mode_ == NapiMode::kVanilla) {
     // Fig. 2 lines 16-17: a device with remaining packets is appended to
@@ -155,7 +149,6 @@ sim::Duration NetRxEngine::poll_chunk() {
     if (out.has_more) {
       global_list_.push_back(dev);
       ++requeues_;
-      t_requeues_->inc();
     } else {
       dev->scheduled = false;
       dev->on_complete();
@@ -165,13 +158,10 @@ sim::Duration NetRxEngine::poll_chunk() {
     if (dev->has_high_pending() && mode_ != NapiMode::kPrismQueues) {
       global_list_.push_front(dev);
       ++requeues_;
-      t_requeues_->inc();
       ++head_inserts_;
-      t_head_inserts_->inc();
     } else if (dev->has_pending()) {
       global_list_.push_back(dev);
       ++requeues_;
-      t_requeues_->inc();
     } else {
       dev->scheduled = false;
       dev->on_complete();
@@ -197,13 +187,10 @@ sim::Duration NetRxEngine::poll_chunk() {
       // one column; the split is kept for diagnosis).
       squeezed = true;
       ++time_squeezes_;
-      t_time_squeeze_->inc();
       if (budget_out) {
         ++budget_squeezes_;
-        t_budget_squeeze_->inc();
       } else {
         ++time_budget_squeezes_;
-        t_time_budget_squeeze_->inc();
       }
     }
     finish_softirq(squeezed);

@@ -176,15 +176,6 @@ class NetRxEngine {
   std::uint64_t ksoftirqd_runs_ = 0;
   std::uint64_t requeues_ = 0;
   std::uint64_t head_inserts_ = 0;
-  telemetry::Counter* t_softirqs_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_polls_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_packets_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_time_squeeze_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_budget_squeeze_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_time_budget_squeeze_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_ksoftirqd_runs_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_requeues_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_head_inserts_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::kernel

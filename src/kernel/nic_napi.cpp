@@ -70,7 +70,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       // Dropping here (instead of processing garbage) is what the kernel's
       // ip_rcv does; the ring entry's storage recycles on destruction.
       ++dropped_malformed_;
-      t_malformed_->inc();
       if (ctx_.faults != nullptr) {
         ctx_.faults->drops.record_frame(fault::DropReason::kMalformed,
                                         entry->frame.bytes());
@@ -227,7 +226,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
                                        : nullptr;
       if (bridge == nullptr) {
         ++dropped_;
-        t_unroutable_->inc();
         if (ctx_.faults != nullptr) {
           ctx_.faults->drops.record(fault::DropReason::kUnroutable, level);
         }
@@ -261,7 +259,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       skb->parsed = std::move(parsed);
     } else {
       ++dropped_;
-      t_unroutable_->inc();
       if (ctx_.faults != nullptr) {
         ctx_.faults->drops.record(fault::DropReason::kUnroutable, level);
       }
@@ -282,7 +279,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       ++slot.skb->segments;
       ++slot.count;
       ++gro_merged_;
-      t_gro_merged_->inc();
       out.cost += scaled(ctx_.cost->gro_merge_per_segment);
       continue;
     }

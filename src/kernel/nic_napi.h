@@ -102,9 +102,9 @@ class NicNapi final : public NapiStruct {
 
   /// Registers driver-poll counters under `prefix` (e.g. "nic.q0.").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_unroutable_ = &reg.counter(prefix + "unroutable_drops");
-    t_malformed_ = &reg.counter(prefix + "malformed_drops");
-    t_gro_merged_ = &reg.counter(prefix + "gro_merged");
+    reg.attach(prefix + "unroutable_drops", dropped_);
+    reg.attach(prefix + "malformed_drops", dropped_malformed_);
+    reg.attach(prefix + "gro_merged", gro_merged_);
   }
 
  private:
@@ -130,9 +130,6 @@ class NicNapi final : public NapiStruct {
   std::uint64_t dropped_ = 0;
   std::uint64_t dropped_malformed_ = 0;
   std::uint64_t gro_merged_ = 0;
-  telemetry::Counter* t_unroutable_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_malformed_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_gro_merged_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::kernel

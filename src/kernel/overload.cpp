@@ -53,11 +53,9 @@ void OverloadGovernor::transition(State to, const char* cause) {
   if (transition_observer_) transition_observer_(t);
   if (to == State::kOverloaded && from == State::kNormal) {
     ++entries_;
-    t_entries_->inc();
     if (moderation_hook_) moderation_hook_(true);
   } else if (to == State::kNormal) {
     ++exits_;
-    t_exits_->inc();
     if (moderation_hook_) moderation_hook_(false);
   }
 }

@@ -235,9 +235,9 @@ class OverloadGovernor {
   }
 
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_entries_ = &reg.counter(prefix + "entries");
-    t_exits_ = &reg.counter(prefix + "exits");
-    t_livelocks_ = &reg.counter(prefix + "livelocks");
+    reg.attach(prefix + "entries", entries_);
+    reg.attach(prefix + "exits", exits_);
+    reg.attach(prefix + "livelocks", livelocks_);
     t_state_ = &reg.gauge(prefix + "state");
   }
 
@@ -278,7 +278,6 @@ class OverloadGovernor {
         polls_since_delivery_ >= cfg_.livelock_polls &&
         irqs_since_delivery_ + arrivals_since_delivery_ > 0) {
       ++livelocks_;
-      t_livelocks_->inc();
       transition(State::kLivelocked, "livelock");
     }
   }
@@ -345,9 +344,6 @@ class OverloadGovernor {
   std::uint64_t livelocks_ = 0;
   std::vector<Transition> log_;
   std::uint64_t log_dropped_ = 0;
-  telemetry::Counter* t_entries_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_exits_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_livelocks_ = &telemetry::Counter::sink();
   telemetry::Gauge* t_state_ = &telemetry::Gauge::sink();
 };
 

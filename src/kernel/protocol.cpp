@@ -27,9 +27,8 @@ sim::Duration SocketDeliverer::deliver(Skb& skb, sim::Time at,
     const auto frames =
         static_cast<std::uint64_t>(1 + skb.gro_chain.size());
     dead_ns_drops_ += frames;
-    for (std::uint64_t i = 0; i < frames; ++i) {
-      t_dead_ns_drops_->inc();
-      if (faults_ != nullptr) {
+    if (faults_ != nullptr) {
+      for (std::uint64_t i = 0; i < frames; ++i) {
         faults_->drops.record(fault::DropReason::kDeadNetns, skb.priority);
       }
     }
@@ -74,7 +73,6 @@ sim::Duration SocketDeliverer::deliver_frame(
   const auto* parsed = pre_parsed;
   if (!parsed) {
     ++drops_;
-    t_no_socket_drops_->inc();
     if (faults_ != nullptr) {
       faults_->drops.record(fault::DropReason::kMalformed, skb.priority);
     }
@@ -110,7 +108,6 @@ sim::Duration SocketDeliverer::deliver_frame(
     if (!net::UdpHeader::verify_checksum(datagram, parsed->ip.src,
                                          parsed->ip.dst)) {
       ++csum_drops_;
-      t_csum_drops_->inc();
       if (faults_ != nullptr) {
         faults_->drops.record(fault::DropReason::kChecksum, skb.priority);
       }
@@ -120,7 +117,6 @@ sim::Duration SocketDeliverer::deliver_frame(
     UdpSocket* sock = ns.sockets().lookup_udp(parsed->udp->dst_port);
     if (sock == nullptr) {
       ++drops_;
-      t_no_socket_drops_->inc();
       if (faults_ != nullptr) {
         faults_->drops.record(fault::DropReason::kNoSocket, skb.priority);
       }
@@ -147,7 +143,6 @@ sim::Duration SocketDeliverer::deliver_frame(
     d.ts = skb.ts;
     sock->enqueue(std::move(d), at);
     ++delivered_;
-    t_delivered_->inc();
     if (governor_ != nullptr) governor_->note_delivery();
     account(true, -1);
     return 0;
@@ -159,7 +154,6 @@ sim::Duration SocketDeliverer::deliver_frame(
     if (!net::TcpHeader::verify_checksum(segment, parsed->ip.src,
                                          parsed->ip.dst)) {
       ++csum_drops_;
-      t_csum_drops_->inc();
       if (faults_ != nullptr) {
         faults_->drops.record(fault::DropReason::kChecksum, skb.priority);
       }
@@ -169,7 +163,6 @@ sim::Duration SocketDeliverer::deliver_frame(
     TcpEndpoint* ep = ns.sockets().lookup_tcp(net::flow_of(*parsed));
     if (ep == nullptr) {
       ++drops_;
-      t_no_socket_drops_->inc();
       if (faults_ != nullptr) {
         faults_->drops.record(fault::DropReason::kNoSocket, skb.priority);
       }
@@ -177,14 +170,12 @@ sim::Duration SocketDeliverer::deliver_frame(
       return 0;
     }
     ++delivered_;
-    t_delivered_->inc();
     if (governor_ != nullptr) governor_->note_delivery();
     account(true, -1);
     return ep->handle_segment(*parsed->tcp, parsed->l4_payload, at,
                               final_frame);
   }
   ++drops_;
-  t_no_socket_drops_->inc();
   if (faults_ != nullptr) {
     faults_->drops.record(fault::DropReason::kNoSocket, skb.priority);
   }

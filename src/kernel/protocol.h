@@ -39,6 +39,9 @@ class SocketDeliverer {
   SocketDeliverer(sim::Simulator& sim, const CostModel& cost)
       : sim_(sim), cost_(cost) {}
 
+  SocketDeliverer(const SocketDeliverer&) = delete;
+  SocketDeliverer& operator=(const SocketDeliverer&) = delete;
+
   void set_packet_trace(trace::PacketTrace* trace) noexcept {
     trace_ = trace;
   }
@@ -93,10 +96,10 @@ class SocketDeliverer {
 
   /// Registers delivery counters under `prefix` (e.g. "sockets.").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_delivered_ = &reg.counter(prefix + "delivered");
-    t_no_socket_drops_ = &reg.counter(prefix + "no_socket_drops");
-    t_csum_drops_ = &reg.counter(prefix + "csum_drops");
-    t_dead_ns_drops_ = &reg.counter(prefix + "dead_ns_drops");
+    reg.attach(prefix + "delivered", delivered_);
+    reg.attach(prefix + "no_socket_drops", drops_);
+    reg.attach(prefix + "csum_drops", csum_drops_);
+    reg.attach(prefix + "dead_ns_drops", dead_ns_drops_);
   }
 
  private:
@@ -121,10 +124,6 @@ class SocketDeliverer {
   std::uint64_t csum_drops_ = 0;
   std::uint64_t dead_ns_drops_ = 0;
   std::uint64_t delivered_ = 0;
-  telemetry::Counter* t_delivered_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_no_socket_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_csum_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dead_ns_drops_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::kernel

@@ -36,7 +36,6 @@ void UdpSocket::enqueue(Datagram d, sim::Time at) {
     }
     if (queue_.size() >= capacity_) {
       ++dropped_;
-      t_dropped_->inc();
       if (faults_ != nullptr) {
         faults_->drops.record(fault::DropReason::kRcvbufFull, d.priority);
       }
@@ -45,7 +44,6 @@ void UdpSocket::enqueue(Datagram d, sim::Time at) {
       return;
     }
     ++received_;
-    t_enqueued_->inc();
     queue_.push_back(std::move(d));
     t_depth_->set(static_cast<std::int64_t>(queue_.size()));
     if (on_readable_) on_readable_();

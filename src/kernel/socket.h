@@ -96,8 +96,8 @@ class UdpSocket {
   /// Registers receive-buffer counters under `prefix`. Several sockets
   /// may share one prefix (aggregate rcvbuf accounting per host).
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_enqueued_ = &reg.counter(prefix + "rcvbuf_enqueued");
-    t_dropped_ = &reg.counter(prefix + "rcvbuf_drops");
+    reg.attach(prefix + "rcvbuf_enqueued", received_);
+    reg.attach(prefix + "rcvbuf_drops", dropped_);
     t_depth_ = &reg.gauge(prefix + "rcvbuf_depth");
   }
 
@@ -122,8 +122,6 @@ class UdpSocket {
   fault::FaultLayer* faults_ = nullptr;
   std::uint64_t received_ = 0;
   std::uint64_t dropped_ = 0;
-  telemetry::Counter* t_enqueued_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dropped_ = &telemetry::Counter::sink();
   telemetry::Gauge* t_depth_ = &telemetry::Gauge::sink();
   telemetry::LatencyLedger* ledger_ = nullptr;
 };

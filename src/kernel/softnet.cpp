@@ -15,7 +15,6 @@ sim::Duration BacklogStage::process_one(SkbPtr skb, sim::Time at,
     // No destination namespace (skb injected past the bridge without
     // routing): drop and recycle rather than dereferencing null.
     ++dropped_;
-    t_dropped_->inc();
     if (faults_ != nullptr) {
       faults_->drops.record(fault::DropReason::kNullNetns, skb->priority);
     }
@@ -28,7 +27,6 @@ sim::Duration BacklogStage::process_one(SkbPtr skb, sim::Time at,
     // kDeadNetns record per carried frame, matching the deliverer's
     // per-frame accounting.
     ++dropped_;
-    t_dropped_->inc();
     if (faults_ != nullptr) {
       const auto frames =
           static_cast<std::uint64_t>(1 + skb->gro_chain.size());
@@ -39,7 +37,6 @@ sim::Duration BacklogStage::process_one(SkbPtr skb, sim::Time at,
     return cost;
   }
   ++delivered_;
-  t_delivered_->inc();
   cost += deliverer_.deliver(*skb, at + cost, *skb->dst_netns);
   return cost;
 }

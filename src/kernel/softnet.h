@@ -38,8 +38,8 @@ class BacklogStage final : public PacketStage {
 
   /// Registers stage counters under `prefix` (e.g. "cpu0.veth.").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_delivered_ = &reg.counter(prefix + "delivered");
-    t_dropped_ = &reg.counter(prefix + "dropped");
+    reg.attach(prefix + "delivered", delivered_);
+    reg.attach(prefix + "dropped", dropped_);
   }
 
   /// Attaches the host's fault layer: null-netns drops are attributed to
@@ -53,8 +53,6 @@ class BacklogStage final : public PacketStage {
   SocketDeliverer& deliverer_;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
-  telemetry::Counter* t_delivered_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dropped_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::kernel

@@ -25,11 +25,11 @@ void RxQueue::set_irq_handler(std::function<void()> handler) {
 
 void RxQueue::bind_telemetry(telemetry::Registry& reg,
                              const std::string& prefix) {
-  t_frames_ = &reg.counter(prefix + "frames");
-  t_ring_drops_ = &reg.counter(prefix + "ring_drops");
-  t_irqs_ = &reg.counter(prefix + "irqs");
-  t_irq_unmask_ = &reg.counter(prefix + "irq_unmask");
-  t_mod_fires_ = &reg.counter(prefix + "moderation_fires");
+  reg.attach(prefix + "frames", received_);
+  reg.attach(prefix + "ring_drops", dropped_);
+  reg.attach(prefix + "irqs", irqs_);
+  reg.attach(prefix + "irq_unmask", irq_unmasks_);
+  reg.attach(prefix + "moderation_fires", moderation_fires_);
   t_ring_depth_ = &reg.gauge(prefix + "ring_depth");
 }
 
@@ -40,7 +40,6 @@ void RxQueue::push(net::PacketBuf frame) {
   }
   if (full) {
     ++dropped_;
-    t_ring_drops_->inc();
     if (faults_ != nullptr) {
       faults_->drops.record_frame(fault::DropReason::kRingFull,
                                   frame.bytes());
@@ -49,7 +48,6 @@ void RxQueue::push(net::PacketBuf frame) {
   }
   ring_.push_back(Entry{std::move(frame), sim_.now()});
   ++received_;
-  t_frames_->inc();
   t_ring_depth_->set(static_cast<std::int64_t>(ring_.size()));
   maybe_fire();
 }
@@ -73,7 +71,7 @@ void RxQueue::maybe_fire() {
   sim_.schedule_at(last_fire_ + coalesce_.usecs, [this, epoch] {
     if (epoch != epoch_) return;  // an earlier fire superseded this timer
     timer_armed_ = false;
-    t_mod_fires_->inc();
+    ++moderation_fires_;
     if (irq_enabled_ && !ring_.empty()) fire_irq();
   });
 }
@@ -87,7 +85,7 @@ std::optional<RxQueue::Entry> RxQueue::pop() {
 
 void RxQueue::enable_irq() {
   irq_enabled_ = true;
-  t_irq_unmask_->inc();
+  ++irq_unmasks_;
   maybe_fire();
 }
 
@@ -97,7 +95,6 @@ void RxQueue::fire_irq() {
   ++epoch_;
   timer_armed_ = false;
   ++irqs_;
-  t_irqs_->inc();
   if (!irq_handler_) return;
   if (faults_ != nullptr && faults_->plan.active()) {
     const sim::Duration delay = faults_->plan.irq_fire_delay();
@@ -132,8 +129,8 @@ Nic::Nic(sim::Simulator& sim, int num_queues, std::size_t ring_capacity,
 
 void Nic::bind_telemetry(telemetry::Registry& reg,
                          const std::string& prefix) {
-  t_tx_ = &reg.counter(prefix + "tx_frames");
-  t_rx_ = &reg.counter(prefix + "rx_frames");
+  reg.attach(prefix + "tx_frames", tx_frames_);
+  reg.attach(prefix + "rx_frames", rx_frames_);
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     queues_[i]->bind_telemetry(reg,
                                prefix + "q" + std::to_string(i) + ".");
@@ -145,7 +142,6 @@ void Nic::transmit(net::PacketBuf frame) {
     throw std::logic_error("Nic::transmit: no wire attached");
   }
   ++tx_frames_;
-  t_tx_->inc();
   wire_->transmit_from(*this, std::move(frame));
 }
 
@@ -182,7 +178,6 @@ void Nic::receive(net::PacketBuf frame) {
 
 void Nic::deliver_to_ring(net::PacketBuf frame) {
   ++rx_frames_;
-  t_rx_->inc();
   const int q = rss_hash(frame.bytes());
   queues_[static_cast<std::size_t>(q)]->push(std::move(frame));
 }

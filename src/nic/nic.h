@@ -55,6 +55,9 @@ class RxQueue {
   RxQueue(sim::Simulator& sim, std::size_t capacity,
           CoalesceConfig coalesce = CoalesceConfig{});
 
+  RxQueue(const RxQueue&) = delete;
+  RxQueue& operator=(const RxQueue&) = delete;
+
   /// Installs the IRQ top-half (typically: schedule the queue's NAPI on
   /// its CPU). The NIC fires it once per idle->pending transition and
   /// masks further interrupts until enable_irq().
@@ -112,11 +115,8 @@ class RxQueue {
   std::uint64_t received_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t irqs_ = 0;
-  telemetry::Counter* t_frames_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_ring_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_irqs_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_irq_unmask_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_mod_fires_ = &telemetry::Counter::sink();
+  std::uint64_t irq_unmasks_ = 0;
+  std::uint64_t moderation_fires_ = 0;
   telemetry::Gauge* t_ring_depth_ = &telemetry::Gauge::sink();
 };
 
@@ -171,8 +171,6 @@ class Nic {
   Wire* wire_ = nullptr;
   std::uint64_t tx_frames_ = 0;
   std::uint64_t rx_frames_ = 0;
-  telemetry::Counter* t_tx_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_rx_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::nic

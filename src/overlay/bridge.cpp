@@ -27,14 +27,12 @@ sim::Duration BridgeStage::process_one(kernel::SkbPtr skb, sim::Time at,
     // entries for every container a miss is a wiring error — drop and
     // count so tests catch it. The skb recycles on return.
     ++dropped_;
-    t_fdb_drops_->inc();
     if (faults_ != nullptr) {
       faults_->drops.record(fault::DropReason::kFdbMiss, skb->priority);
     }
     return cost;
   }
   ++forwarded_;
-  t_forwarded_->inc();
   skb->dst_netns = dst;
   skb->stage = 3;
 
@@ -65,7 +63,6 @@ sim::Duration BridgeStage::process_one(kernel::SkbPtr skb, sim::Time at,
     const RpsTarget& target = rps_targets_[hash % rps_targets_.size()];
     if (target.backlog != &backlog_) {
       ++rps_steered_;
-      t_rps_steered_->inc();
       cost += cost_.rps_steer_cost;
       // The packet becomes visible on the target CPU one IPI later. The
       // skb is move-captured (InlineFn supports move-only callables): if

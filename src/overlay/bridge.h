@@ -62,9 +62,9 @@ class BridgeStage final : public kernel::PacketStage {
   /// Registers forwarding counters under `prefix` (e.g. "overlay.br42.").
   /// The per-CPU stages of one bridge share a prefix and aggregate.
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_forwarded_ = &reg.counter(prefix + "forwarded");
-    t_fdb_drops_ = &reg.counter(prefix + "fdb_drops");
-    t_rps_steered_ = &reg.counter(prefix + "rps_steered");
+    reg.attach(prefix + "forwarded", forwarded_);
+    reg.attach(prefix + "fdb_drops", dropped_);
+    reg.attach(prefix + "rps_steered", rps_steered_);
   }
 
   /// Attaches the host's fault layer: FDB-miss drops are attributed to
@@ -93,9 +93,6 @@ class BridgeStage final : public kernel::PacketStage {
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t rps_steered_ = 0;
-  telemetry::Counter* t_forwarded_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_fdb_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_rps_steered_ = &telemetry::Counter::sink();
 };
 
 /// One overlay bridge (one VNI) on one host: FDB plus per-CPU gro_cells.

@@ -37,6 +37,10 @@ class Netns;
 /// Static MAC -> local port (container) table with miss counting.
 class Fdb {
  public:
+  Fdb() = default;
+  Fdb(const Fdb&) = delete;
+  Fdb& operator=(const Fdb&) = delete;
+
   /// Maps `mac` to `container`. Returns true when the table changed:
   /// either a new entry, or an existing MAC remapped to a different port
   /// (counted in overwrites()). Re-adding the identical mapping is a
@@ -70,10 +74,8 @@ class Fdb {
     const auto it = entries_.find(mac);
     if (it == entries_.end()) {
       ++misses_;
-      t_miss_->inc();
       if (removed_.count(mac) != 0) {
         ++unlearned_misses_;
-        t_unlearned_miss_->inc();
       }
       return nullptr;
     }
@@ -99,8 +101,8 @@ class Fdb {
   /// Registers miss counters under `prefix` (e.g. "overlay.br42.fdb.miss"
   /// and "overlay.br42.fdb.unlearned_miss").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_miss_ = &reg.counter(prefix + "fdb.miss");
-    t_unlearned_miss_ = &reg.counter(prefix + "fdb.unlearned_miss");
+    reg.attach(prefix + "fdb.miss", misses_);
+    reg.attach(prefix + "fdb.unlearned_miss", unlearned_misses_);
   }
 
  private:
@@ -116,8 +118,6 @@ class Fdb {
   std::uint64_t overwrites_ = 0;
   std::uint64_t generation_ = 0;
   std::function<void()> mutation_hook_;
-  telemetry::Counter* t_miss_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_unlearned_miss_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::overlay

@@ -1,7 +1,5 @@
 #include "overlay/flow_cache.h"
 
-#include <initializer_list>
-
 namespace prism::overlay {
 
 const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
@@ -11,7 +9,6 @@ const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
   const auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    t_misses_->inc();
     return nullptr;
   }
   if (it->second->second.generation != generation_) {
@@ -20,8 +17,6 @@ const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
     // repopulates with the current generation.
     ++stale_;
     ++misses_;
-    t_stale_->inc();
-    t_misses_->inc();
     lru_.erase(it->second);
     map_.erase(it);
     return nullptr;
@@ -29,7 +24,6 @@ const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
   // Move to MRU position. splice() keeps iterators valid.
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
-  t_hits_->inc();
   return &it->second->second;
 }
 
@@ -44,7 +38,6 @@ void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
     it->second->second = FlowCacheEntry{dst, priority, generation};
     lru_.splice(lru_.begin(), lru_, it->second);
     ++insertions_;
-    t_insertions_->inc();
     return;
   }
   if (map_.size() >= capacity_) {
@@ -52,12 +45,10 @@ void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
     map_.erase(victim.first);
     lru_.pop_back();
     ++evictions_;
-    t_evictions_->inc();
   }
   lru_.emplace_front(key, FlowCacheEntry{dst, priority, generation});
   map_.emplace(key, lru_.begin());
   ++insertions_;
-  t_insertions_->inc();
 }
 
 void FlowCache::reset() {
@@ -69,22 +60,16 @@ void FlowCache::reset() {
   insertions_ = 0;
   evictions_ = 0;
   invalidations_ = 0;
-  // Bound registry counters mirror the members; the shared sink is left
-  // alone because other unbound components write to it too.
-  for (telemetry::Counter* c : {t_hits_, t_misses_, t_stale_, t_insertions_,
-                                t_evictions_, t_invalidations_}) {
-    if (c != &telemetry::Counter::sink()) c->reset();
-  }
 }
 
 void FlowCache::bind_telemetry(telemetry::Registry& reg,
                                const std::string& prefix) {
-  t_hits_ = &reg.counter(prefix + "hits");
-  t_misses_ = &reg.counter(prefix + "misses");
-  t_stale_ = &reg.counter(prefix + "stale");
-  t_insertions_ = &reg.counter(prefix + "insertions");
-  t_evictions_ = &reg.counter(prefix + "evictions");
-  t_invalidations_ = &reg.counter(prefix + "invalidations");
+  reg.attach(prefix + "hits", hits_);
+  reg.attach(prefix + "misses", misses_);
+  reg.attach(prefix + "stale", stale_);
+  reg.attach(prefix + "insertions", insertions_);
+  reg.attach(prefix + "evictions", evictions_);
+  reg.attach(prefix + "invalidations", invalidations_);
 }
 
 }  // namespace prism::overlay

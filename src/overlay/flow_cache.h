@@ -110,7 +110,6 @@ class FlowCache {
   void invalidate() noexcept {
     ++generation_;
     ++invalidations_;
-    t_invalidations_->inc();
   }
 
   /// Returns the still-valid transform for (flow, vni), or nullptr. A
@@ -145,8 +144,7 @@ class FlowCache {
                             static_cast<double>(total);
   }
 
-  /// Drops every entry and counter, including the bound registry counters
-  /// (generation and configuration kept).
+  /// Drops every entry and counter (generation and configuration kept).
   void reset();
 
   /// Registers cache counters under `prefix` (e.g. "flowcache.").
@@ -167,12 +165,6 @@ class FlowCache {
   std::uint64_t insertions_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t invalidations_ = 0;
-  telemetry::Counter* t_hits_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_misses_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_stale_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_insertions_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_evictions_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_invalidations_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::overlay

@@ -1,7 +1,7 @@
 #include "prism/proc_interface.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <sstream>
 
 namespace prism::prism {
@@ -11,6 +11,13 @@ namespace {
 constexpr std::string_view kPriorityPath = "prism/priority";
 constexpr std::string_view kModePath = "prism/mode";
 constexpr std::string_view kIndexPath = "prism/telemetry/index";
+
+/// Parses all of `text` as a decimal int; false on any leftover character.
+bool parse_int(const std::string& text, int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 }  // namespace
 
@@ -36,35 +43,33 @@ bool ProcInterface::write(std::string_view path, std::string_view value) {
     return true;
   }
   if (path == kPriorityPath) {
+    // Accepted: "clear", "add <ip> <port> [level]", "del <ip> <port>".
+    // Every token must parse in full; anything extra rejects the write.
     std::istringstream in{std::string(value)};
-    std::string op;
-    in >> op;
-    if (op == "clear") {
+    std::vector<std::string> tok;
+    for (std::string t; in >> t;) tok.push_back(std::move(t));
+    if (tok.size() == 1 && tok[0] == "clear") {
       db_.clear();
       return true;
     }
-    std::string ip_text;
+    const bool add = !tok.empty() && tok[0] == "add" &&
+                     (tok.size() == 3 || tok.size() == 4);
+    const bool del = tok.size() == 3 && tok[0] == "del";
+    if (!add && !del) return false;
     int port = -1;
-    in >> ip_text >> port;
-    if (in.fail() || port < 0 || port > 0xffff) return false;
+    if (!parse_int(tok[2], port) || port < 0 || port > 0xffff) return false;
     net::Ipv4Addr ip;
     try {
-      ip = net::Ipv4Addr::parse(ip_text);
+      ip = net::Ipv4Addr::parse(tok[1]);
     } catch (const std::invalid_argument&) {
       return false;
     }
-    if (op == "add") {
-      int level = 1;  // optional trailing level; default matches paper
-      in >> level;
-      if (in.fail()) level = 1;
-      if (level < 1 || level >= kernel::kNumPriorityLevels) return false;
-      db_.add(ip, static_cast<std::uint16_t>(port), level);
-      return true;
-    }
-    if (op == "del") {
-      return db_.remove(ip, static_cast<std::uint16_t>(port));
-    }
-    return false;
+    if (del) return db_.remove(ip, static_cast<std::uint16_t>(port));
+    int level = 1;  // optional trailing level; default matches paper
+    if (tok.size() == 4 && !parse_int(tok[3], level)) return false;
+    if (level < 1 || level >= kernel::kNumPriorityLevels) return false;
+    db_.add(ip, static_cast<std::uint16_t>(port), level);
+    return true;
   }
   return false;
 }

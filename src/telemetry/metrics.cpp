@@ -2,23 +2,26 @@
 
 namespace prism::telemetry {
 
-Counter& Counter::sink() noexcept {
-  static Counter sink;
-  return sink;
-}
-
 Gauge& Gauge::sink() noexcept {
   static Gauge sink;
   return sink;
 }
 
-Counter& Registry::counter(std::string_view name) {
+Registry::NamedCounter& Registry::named_counter(std::string_view name) {
   const auto it = counter_index_.find(name);
   if (it != counter_index_.end()) return *it->second;
-  counters_.push_back(NamedCounter{std::string(name), Counter{}});
+  counters_.push_back(NamedCounter{std::string(name), Counter{}, {}});
   NamedCounter& slot = counters_.back();
-  counter_index_.emplace(slot.name, &slot.counter);
-  return slot.counter;
+  counter_index_.emplace(slot.name, &slot);
+  return slot;
+}
+
+void Registry::attach(std::string_view name, const std::uint64_t& source) {
+  named_counter(name).sources.push_back(&source);
+}
+
+Counter& Registry::counter(std::string_view name) {
+  return named_counter(name).owned;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
@@ -40,7 +43,7 @@ std::vector<CounterSample> Registry::counters() const {
   std::vector<CounterSample> out;
   out.reserve(counters_.size());
   for (const auto& c : counters_) {
-    out.push_back(CounterSample{c.name, c.counter.value()});
+    out.push_back(CounterSample{c.name, c.value()});
   }
   return out;
 }
@@ -53,11 +56,6 @@ std::vector<GaugeSample> Registry::gauges() const {
         GaugeSample{g.name, g.gauge.value(), g.gauge.max_value()});
   }
   return out;
-}
-
-void Registry::reset() {
-  for (auto& c : counters_) c.counter.reset();
-  for (auto& g : gauges_) g.gauge.reset();
 }
 
 }  // namespace prism::telemetry

@@ -1,15 +1,12 @@
-// Zero-allocation metrics registry.
+// Metrics registry over component-owned counters.
 //
 // The paper's analysis leans on kernel counters (softnet_stat, ring drops,
-// NAPI budget exhaustion) to explain where time and packets go. This
-// registry gives the simulated stack the same substrate: components
-// register named counters/gauges once (cold path, resolves a stable
-// handle) and the hot path performs plain uint64 increments through that
-// handle — no hashing, no locking, no allocation in steady state.
-//
-// Unbound instrumentation points write to a process-wide sink counter, so
-// hot paths never branch on "is telemetry attached". Counters are always
-// on; the costlier recorders (LatencyLedger, FlowTable, FlightRecorder,
+// NAPI budget exhaustion). As in Linux, the datapath bumps plain uint64
+// fields it owns and the registry only names them: a registry counter is
+// the sum of the fields attached under its name, read at snapshot time,
+// so a counted event is one add. The registry points into components and
+// must not be read after one dies (Host declares it before them all).
+// The costlier recorders (LatencyLedger, FlowTable, FlightRecorder,
 // AnomalyBank) each have a runtime switch.
 #pragma once
 
@@ -25,19 +22,14 @@
 
 namespace prism::telemetry {
 
-/// Monotonic event counter. Handles stay valid for the registry's (or the
-/// sink's) lifetime; increments are a single add on the hot path.
+/// Registry-owned monotonic counter, for callers with no field of their
+/// own to attach. Handles stay valid for the registry's lifetime.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept { value_ += n; }
 
   std::uint64_t value() const noexcept { return value_; }
   void reset() noexcept { value_ = 0; }
-
-  /// Process-wide bit bucket for instrumentation points no registry has
-  /// been bound to. Its value is meaningless (many components share it);
-  /// it exists so hot paths can increment unconditionally.
-  static Counter& sink() noexcept;
 
  private:
   std::uint64_t value_ = 0;
@@ -57,7 +49,8 @@ class Gauge {
   std::int64_t max_value() const noexcept { return max_; }
   void reset() noexcept { value_ = 0; max_ = 0; }
 
-  /// See Counter::sink().
+  /// Process-wide bit bucket for unbound gauges (its value is
+  /// meaningless), so hot paths can set unconditionally.
   static Gauge& sink() noexcept;
 
  private:
@@ -78,23 +71,30 @@ struct GaugeSample {
   std::int64_t max_value = 0;
 };
 
-/// Owns named counters and gauges. Registration is idempotent: the same
-/// name always resolves to the same handle, so independent components may
-/// share an aggregate counter by name. Handle addresses are stable for the
-/// registry's lifetime (deque storage, entries are never erased).
+/// Names counters and owns gauges. Registration is idempotent (one entry
+/// per name, so components may share an aggregate by name), snapshots
+/// keep first-registration order, and entries never move (deque storage).
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Registers (or finds) a counter. Cold path: one map lookup.
+  /// Adds `source` to the counter `name` (registered on first use), which
+  /// reads as the sum of its sources. `source` must stay at its address
+  /// for as long as the registry is read: attaching types delete their
+  /// copy and move operations, and Host declares its registry before
+  /// every component so the registry is destroyed last.
+  void attach(std::string_view name, const std::uint64_t& source);
+
+  /// Registers (or finds) the registry-owned counter `name`, itself one
+  /// more source of that name.
   Counter& counter(std::string_view name);
 
   /// Registers (or finds) a gauge.
   Gauge& gauge(std::string_view name);
 
-  /// Value of a registered counter; 0 when the name is unknown.
+  /// Current value of a counter; 0 when the name is unknown.
   std::uint64_t counter_value(std::string_view name) const noexcept;
 
   /// Snapshots in registration order.
@@ -104,23 +104,29 @@ class Registry {
   std::size_t counter_count() const noexcept { return counters_.size(); }
   std::size_t gauge_count() const noexcept { return gauges_.size(); }
 
-  /// Zeroes every counter and gauge (handles stay valid).
-  void reset();
-
  private:
   struct NamedCounter {
     std::string name;
-    Counter counter;
+    Counter owned;
+    std::vector<const std::uint64_t*> sources;
+
+    std::uint64_t value() const noexcept {
+      std::uint64_t sum = owned.value();
+      for (const std::uint64_t* s : sources) sum += *s;
+      return sum;
+    }
   };
   struct NamedGauge {
     std::string name;
     Gauge gauge;
   };
 
+  NamedCounter& named_counter(std::string_view name);
+
   std::deque<NamedCounter> counters_;
   std::deque<NamedGauge> gauges_;
   // Keys are views into the deque-owned names (never erased, so stable).
-  std::unordered_map<std::string_view, Counter*> counter_index_;
+  std::unordered_map<std::string_view, NamedCounter*> counter_index_;
   std::unordered_map<std::string_view, Gauge*> gauge_index_;
 };
 

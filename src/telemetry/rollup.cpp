@@ -12,6 +12,7 @@
 #include "stats/histogram.h"
 #include "stats/summary.h"
 #include "telemetry/json_writer.h"
+#include "telemetry/snapshot.h"
 #include "telemetry/span_tracer.h"
 
 namespace prism::telemetry {
@@ -57,18 +58,8 @@ std::vector<GaugeSample> merge_gauges(
 void write_merged_registry_json(
     JsonWriter& w, const std::vector<const Registry*>& registries) {
   w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& c : merge_counters(registries)) w.member(c.name, c.value);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& g : merge_gauges(registries)) {
-    w.key(g.name)
-        .begin_object()
-        .member("value", g.value)
-        .member("max", g.max_value)
-        .end_object();
-  }
-  w.end_object();
+  write_sample_members(w, merge_counters(registries),
+                       merge_gauges(registries));
   w.end_object();
 }
 

@@ -41,7 +41,7 @@ std::vector<GaugeSample> merge_gauges(
     const std::vector<const Registry*>& registries);
 
 /// {"counters": {...}, "gauges": {...}} over the merged samples — the
-/// same shape as write_registry_json, so tooling reads both.
+/// same shape as registry_json, so tooling reads both.
 void write_merged_registry_json(
     JsonWriter& w, const std::vector<const Registry*>& registries);
 

@@ -42,13 +42,14 @@ std::string render_net_dev(const std::vector<NetDevRow>& rows) {
   return out;
 }
 
-void write_registry_json(JsonWriter& w, const Registry& registry) {
-  w.begin_object();
+void write_sample_members(JsonWriter& w,
+                          const std::vector<CounterSample>& counters,
+                          const std::vector<GaugeSample>& gauges) {
   w.key("counters").begin_object();
-  for (const auto& c : registry.counters()) w.member(c.name, c.value);
+  for (const auto& c : counters) w.member(c.name, c.value);
   w.end_object();
   w.key("gauges").begin_object();
-  for (const auto& g : registry.gauges()) {
+  for (const auto& g : gauges) {
     w.key(g.name)
         .begin_object()
         .member("value", g.value)
@@ -56,32 +57,21 @@ void write_registry_json(JsonWriter& w, const Registry& registry) {
         .end_object();
   }
   w.end_object();
-  w.end_object();
 }
 
 std::string registry_json(const Registry& registry) {
   JsonWriter w;
-  write_registry_json(w, registry);
+  w.begin_object();
+  write_sample_members(w, registry.counters(), registry.gauges());
+  w.end_object();
   return w.take();
 }
 
 void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
                           const std::vector<RingStat>& extra_rings) {
   w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& c : telemetry.registry.counters()) {
-    w.member(c.name, c.value);
-  }
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& g : telemetry.registry.gauges()) {
-    w.key(g.name)
-        .begin_object()
-        .member("value", g.value)
-        .member("max", g.max_value)
-        .end_object();
-  }
-  w.end_object();
+  write_sample_members(w, telemetry.registry.counters(),
+                       telemetry.registry.gauges());
   w.key("rings")
       .begin_object()
       .key("spans")

@@ -51,11 +51,14 @@ struct NetDevRow {
 /// columns; the simulator does not track per-device byte counts).
 std::string render_net_dev(const std::vector<NetDevRow>& rows);
 
-/// Emits `{"counters": {name: value, ...}, "gauges": {name: {"value": v,
-/// "max": m}, ...}}` as the current JSON value of `w`.
-void write_registry_json(JsonWriter& w, const Registry& registry);
+/// Emits `"counters": {name: value, ...}, "gauges": {name: {"value": v,
+/// "max": m}, ...}` into the object `w` has open.
+void write_sample_members(JsonWriter& w,
+                          const std::vector<CounterSample>& counters,
+                          const std::vector<GaugeSample>& gauges);
 
-/// write_registry_json as a standalone document.
+/// The registry as a standalone `{"counters": ..., "gauges": ...}`
+/// document (write_sample_members).
 std::string registry_json(const Registry& registry);
 
 /// Retention stats of one bounded ring beyond the bundle's own (a poll
@@ -67,7 +70,7 @@ struct RingStat {
   std::uint64_t dropped = 0;
 };
 
-/// Full bundle dump: the registry (as write_registry_json) plus a
+/// Full bundle dump: the registry (as registry_json) plus a
 /// "rings" section reporting the span tracer's recorded/retained/dropped
 /// (and any `extra_rings`) so ring truncation is visible in every
 /// export, a "latency" section (write_latency_json), and a "flows"

@@ -54,6 +54,11 @@ TEST(ProcInterfaceTest, MalformedPriorityWritesRejected) {
   EXPECT_FALSE(r.proc.write("prism/priority", "add 1.2.3.4 99999"));
   EXPECT_FALSE(r.proc.write("prism/priority", "add 1.2.3.4 -1"));
   EXPECT_FALSE(r.proc.write("prism/priority", "frobnicate 1.2.3.4 1"));
+  EXPECT_FALSE(r.proc.write("prism/priority", "add 1.2.3.4 80abc"));
+  EXPECT_FALSE(r.proc.write("prism/priority", "add 1.2.3.4 80 high"));
+  EXPECT_FALSE(r.proc.write("prism/priority", "add 1.2.3.4 80 2 extra"));
+  EXPECT_FALSE(r.proc.write("prism/priority", "del 1.2.3.4 80 x"));
+  EXPECT_FALSE(r.proc.write("prism/priority", "clear now"));
   EXPECT_TRUE(r.db.empty());
 }
 

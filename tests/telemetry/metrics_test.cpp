@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "telemetry/metrics.h"
 
 namespace prism::telemetry {
@@ -13,17 +15,6 @@ TEST(CounterTest, IncrementsAndResets) {
   EXPECT_EQ(c.value(), 42u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(CounterTest, SinkIsProcessWideAndIncrementable) {
-  Counter& a = Counter::sink();
-  Counter& b = Counter::sink();
-  EXPECT_EQ(&a, &b);
-  // Its value is meaningless, but incrementing must be safe: this is what
-  // every unbound instrumentation point does on the hot path.
-  const auto before = a.value();
-  a.inc(3);
-  EXPECT_EQ(a.value(), before + 3);
 }
 
 TEST(GaugeTest, TracksValueAndHighWatermark) {
@@ -116,20 +107,29 @@ TEST(RegistryTest, GaugesAreIdempotentToo) {
   EXPECT_EQ(reg.gauge_count(), 1u);
 }
 
-TEST(RegistryTest, ResetZeroesButKeepsHandlesValid) {
+TEST(RegistryTest, AttachedSourcesAreSummedAtReadTime) {
+  // Two components owning one count each (two UDP sockets' rcvbuf
+  // totals) attach under one name; the registry reads their live sum.
   Registry reg;
-  Counter& c = reg.counter("events");
-  Gauge& g = reg.gauge("depth");
-  c.inc(100);
-  g.set(50);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(g.max_value(), 0);
-  // Handles stay usable after reset.
-  c.inc();
-  EXPECT_EQ(reg.counter_value("events"), 1u);
-  EXPECT_EQ(reg.counter_count(), 1u);
+  std::uint64_t sock1 = 0;
+  std::uint64_t sock2 = 0;
+  reg.attach("sockets.rcvbuf_enqueued", sock1);
+  reg.counter("zulu");
+  reg.attach("sockets.rcvbuf_enqueued", sock2);  // second source, same slot
+  sock1 = 2;
+  sock2 = 3;
+  EXPECT_EQ(reg.counter_value("sockets.rcvbuf_enqueued"), 5u);
+  EXPECT_EQ(reg.counter_count(), 2u);
+
+  const auto cs = reg.counters();
+  ASSERT_EQ(cs.size(), 2u);
+  EXPECT_EQ(cs[0].name, "sockets.rcvbuf_enqueued");
+  EXPECT_EQ(cs[0].value, 5u);
+  EXPECT_EQ(cs[1].name, "zulu");
+
+  ++sock2;  // a component-side increment is visible at the next read
+  EXPECT_EQ(reg.counter_value("sockets.rcvbuf_enqueued"), 6u);
+  EXPECT_EQ(reg.counters()[0].value, 6u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // End-to-end reconciliation: after a two-flow run (high-priority probe
 // flow + low-priority bulk flow), the telemetry registry, the
 // softnet_stat rows, and the /proc files must agree with the components'
-// own ground-truth accessors. This is the guard that the mirrored
-// counters never drift from the counters they mirror.
+// own ground-truth accessors. This is the guard that every registry
+// counter is attached to the component field it names.
 #include <gtest/gtest.h>
 
 #include <algorithm>
