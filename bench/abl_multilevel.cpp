@@ -11,8 +11,7 @@
 #include "bench_util.h"
 #include "harness/testbed.h"
 
-int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
+int main() {
   using namespace prism;
   bench::print_header(
       "Extension", "multiple priority levels under heavy load");
@@ -49,9 +48,9 @@ int main(int argc, char** argv) {
           f.level);
     }
     f.server = std::make_unique<apps::SockperfServer>(
-        tb.server_sim(), apps::SockperfServer::Config{
-                      &tb.server(), f.srv, &tb.server().cpu(app_cpu),
-                      f.port});
+        tb.sim(), apps::SockperfServer::Config{&tb.server(), f.srv,
+                                               &tb.server().cpu(app_cpu),
+                                               f.port});
     app_cpu = app_cpu % 3 + 1;
 
     apps::SockperfClient::Config cc;
@@ -66,7 +65,7 @@ int main(int argc, char** argv) {
     cc.seed = static_cast<std::uint64_t>(f.level) + 7;
     cc.start_at = sim::milliseconds(50);
     cc.stop_at = sim::milliseconds(450);
-    f.client = std::make_unique<apps::SockperfClient>(tb.client_sim(), cc);
+    f.client = std::make_unique<apps::SockperfClient>(tb.sim(), cc);
     f.client->start();
   }
 
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
   auto& bg_cli = tb.add_client_container("bg-cli");
   auto& bg_srv = tb.add_server_container("bg-srv");
   apps::SockperfServer bg_sink(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), &bg_srv, &tb.server().cpu(3), 11119});
   apps::SockperfClient::Config bg;
   bg.host = &tb.client();
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
   bg.rate_pps = 300'000;
   bg.burst = 64;
   bg.stop_at = sim::milliseconds(470);
-  apps::SockperfClient bg_client(tb.client_sim(), bg);
+  apps::SockperfClient bg_client(tb.sim(), bg);
   bg_client.start();
 
   tb.run_until(sim::milliseconds(500));

@@ -33,10 +33,10 @@ Result run(bool rps, prism::kernel::NapiMode mode, double rate_pps,
   tb.client().priority_db().add(probe_cli.ip(), 22000);
 
   apps::SockperfServer bulk_server(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), &srv, &tb.server().cpu(1), 11111});
   apps::SockperfServer probe_server(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), &probe_srv, &tb.server().cpu(2), 11112});
 
   apps::SockperfClient::Config bulk;
@@ -51,7 +51,7 @@ Result run(bool rps, prism::kernel::NapiMode mode, double rate_pps,
   bulk.rate_pps = rate_pps;
   bulk.burst = 32;
   bulk.stop_at = sim::milliseconds(300);
-  apps::SockperfClient bulk_client(tb.client_sim(), bulk);
+  apps::SockperfClient bulk_client(tb.sim(), bulk);
   bulk_client.start();
 
   apps::SockperfClient::Config probe;
@@ -65,7 +65,7 @@ Result run(bool rps, prism::kernel::NapiMode mode, double rate_pps,
   probe.reply_every = 1;
   probe.start_at = sim::milliseconds(50);
   probe.stop_at = sim::milliseconds(300);
-  apps::SockperfClient probe_client(tb.client_sim(), probe);
+  apps::SockperfClient probe_client(tb.sim(), probe);
   probe_client.start();
 
   tb.run_until(sim::milliseconds(330));
@@ -78,8 +78,7 @@ Result run(bool rps, prism::kernel::NapiMode mode, double rate_pps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
+int main() {
   using namespace prism;
   bench::print_header("Ablation",
                       "RPS (flow parallelism) vs PRISM (prioritization)");

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "harness/experiment.h"
@@ -22,7 +23,7 @@ namespace prism::bench {
 /// whitespace, no trailing garbage, no overflow). `what` names the flag
 /// or environment variable in the error; malformed input terminates the
 /// bench with exit code 2 instead of silently running with a default —
-/// a mistyped `--threads=abc` or `PRISM_SEED=1e6` must not produce a
+/// a mistyped `--seed=abc` or `PRISM_SEED=1e6` must not produce a
 /// plausible-looking result under the wrong configuration.
 inline long parse_long_or_die(const char* text, const char* what) {
   const char* end = text + std::strlen(text);
@@ -41,80 +42,63 @@ inline long parse_long_or_die(const char* text, const char* what) {
   return value;
 }
 
-/// Parses `--threads N` / `--threads=N` (or the PRISM_THREADS environment
-/// variable; the flag wins) and installs the result as the harness-wide
-/// default engine via harness::set_default_threads(). Every scenario the
-/// bench runs then picks the parallel lane backend when N >= 2, with no
-/// per-bench plumbing. Returns the resolved count (default 1: classic
-/// single-threaded engine). Malformed or non-positive values exit with
-/// an error. Call first thing in main().
-inline int parse_threads(int argc, char** argv) {
-  long threads = 1;
-  if (const char* env = std::getenv("PRISM_THREADS")) {
-    threads = parse_long_or_die(env, "PRISM_THREADS");
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_long_or_die(argv[i + 1], "--threads");
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = parse_long_or_die(argv[i] + 10, "--threads");
-    }
-  }
-  if (threads < 1 || threads > 1024) {
-    std::fprintf(stderr, "error: --threads: %ld not in [1, 1024]\n",
-                 threads);
-    std::exit(2);
-  }
-  harness::set_default_threads(static_cast<int>(threads));
-  if (threads > 1) {
-    std::printf("engine: parallel lanes on %d threads\n\n",
-                static_cast<int>(threads));
-  }
-  return static_cast<int>(threads);
-}
-
 /// Generic `--flag N` / `--flag=N` integer parser for the bench flags
-/// below. Returns `fallback` when the flag is absent; a present flag
-/// with a malformed value exits with an error.
+/// below. Returns `fallback` when the flag is absent; a present flag with
+/// a malformed value, or one outside the inclusive range [min, max],
+/// exits with an error.
 inline long parse_long_flag(int argc, char** argv, const char* flag,
-                            long fallback) {
+                            long fallback, long min, long max) {
   const std::size_t len = std::strlen(flag);
   long value = fallback;
   for (int i = 1; i < argc; ++i) {
+    const char* text = nullptr;
     if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-      value = parse_long_or_die(argv[i + 1], flag);
+      text = argv[i + 1];
     } else if (std::strncmp(argv[i], flag, len) == 0 &&
                argv[i][len] == '=') {
-      value = parse_long_or_die(argv[i] + len + 1, flag);
+      text = argv[i] + len + 1;
+    } else {
+      continue;
+    }
+    value = parse_long_or_die(text, flag);
+    if (value < min || value > max) {
+      std::fprintf(stderr, "error: %s: %ld not in [%ld, %ld]\n", flag,
+                   value, min, max);
+      std::exit(2);
     }
   }
   return value;
 }
 
+/// Largest microsecond count a sim::Duration (int64 nanoseconds) holds.
+inline constexpr long kMaxFlagMicros = static_cast<long>(
+    std::numeric_limits<sim::Duration>::max() / sim::kMicrosecond);
+
 /// `--trace-flows N`: flight-recorder sampling period — trace 1-in-N
 /// low-priority flows (high-priority classes are always traced). 0 keeps
 /// the recorder default (64).
 inline std::uint32_t parse_trace_flows(int argc, char** argv) {
-  const long v = parse_long_flag(argc, argv, "--trace-flows", 0);
-  return v > 0 ? static_cast<std::uint32_t>(v) : 0;
+  return static_cast<std::uint32_t>(parse_long_flag(
+      argc, argv, "--trace-flows", 0, 0,
+      static_cast<long>(std::numeric_limits<std::uint32_t>::max())));
 }
 
 /// `--slo-us U`: arm the per-class p99 SLO-breach detector at U
 /// microseconds (0 = detector off, the default).
 inline sim::Duration parse_slo_us(int argc, char** argv) {
-  const long v = parse_long_flag(argc, argv, "--slo-us", 0);
-  return v > 0 ? sim::microseconds(v) : 0;
+  return sim::microseconds(
+      parse_long_flag(argc, argv, "--slo-us", 0, 0, kMaxFlagMicros));
 }
 
-/// `--inversion-us T`: the priority-inversion wait threshold. The
+/// `--inversion-us T`: the priority-inversion wait threshold, T >= 1. The
 /// figure benches default to 50us — between the idle end-to-end p99
 /// (~20us) and the vanilla probe's loaded stage-queue waits — rather
 /// than the recorder-wide 100us default, which only the NIC ring ever
 /// exceeds at fig09/fig10 load levels.
 inline sim::Duration parse_inversion_us(int argc, char** argv,
                                         long default_us) {
-  const long v = parse_long_flag(argc, argv, "--inversion-us", default_us);
-  return v > 0 ? sim::microseconds(v) : sim::microseconds(default_us);
+  return sim::microseconds(parse_long_flag(argc, argv, "--inversion-us",
+                                           default_us, 1, kMaxFlagMicros));
 }
 
 /// `--seed S`: fault-injection seed for the detector-armed runs (also
@@ -124,13 +108,13 @@ inline std::uint64_t parse_seed(int argc, char** argv) {
   long seed = 1;
   if (const char* env = std::getenv("PRISM_SEED")) {
     seed = parse_long_or_die(env, "PRISM_SEED");
+    if (seed < 1) {
+      std::fprintf(stderr, "error: PRISM_SEED: %ld must be >= 1\n", seed);
+      std::exit(2);
+    }
   }
-  seed = parse_long_flag(argc, argv, "--seed", seed);
-  if (seed < 1) {
-    std::fprintf(stderr, "error: --seed: %ld must be >= 1\n", seed);
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(seed);
+  return static_cast<std::uint64_t>(parse_long_flag(
+      argc, argv, "--seed", seed, 1, std::numeric_limits<long>::max()));
 }
 
 inline std::string us(std::int64_t ns) {

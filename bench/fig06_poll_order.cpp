@@ -36,7 +36,7 @@ prism::trace::PollTrace trace_mode(
   tb.server().priority_db().add(srv.ip(), 11111);
 
   apps::SockperfServer server(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), &srv, &tb.server().cpu(1), 11111});
   apps::SockperfClient::Config cc;
   cc.host = &tb.client();
@@ -47,12 +47,12 @@ prism::trace::PollTrace trace_mode(
   cc.rate_pps = 500'000;  // saturating, so every stage has full batches
   cc.burst = 64;
   cc.stop_at = sim::milliseconds(5);
-  apps::SockperfClient client(tb.client_sim(), cc);
+  apps::SockperfClient client(tb.sim(), cc);
   client.start();
 
   trace::PollTrace trace;
   // Attach after warmup so the steady-state order is captured.
-  tb.server_sim().schedule_at(sim::milliseconds(2), [&] {
+  tb.sim().schedule_at(sim::milliseconds(2), [&] {
     tb.server().set_poll_trace(tb.server().default_rx_cpu(), &trace);
   });
   tb.run_until(sim::milliseconds(3));
@@ -67,7 +67,6 @@ prism::trace::PollTrace trace_mode(
 
 int main(int argc, char** argv) {
   using namespace prism;
-  bench::parse_threads(argc, argv);
   const char* trace_out = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {

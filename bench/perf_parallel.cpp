@@ -240,7 +240,6 @@ ClusterPoint best_of_cluster(int pairs, int threads, int reps) {
 double run_testbed_events_per_sec() {
   harness::TestbedConfig tc;
   tc.mode = kernel::NapiMode::kPrismSync;
-  tc.threads = 1;
   // Match the cluster pair's topology so the per-event cost is
   // comparable (Testbed defaults to 6 client CPUs, Cluster pairs to 4).
   tc.client_cpus = 4;
@@ -254,16 +253,16 @@ double run_testbed_events_per_sec() {
   tb.client().priority_db().add(cli_probe_ns.ip(), kProbeSrcPort);
 
   apps::SockperfServer probe_server(
-      tb.server_sim(), {&tb.server(), &srv_probe_ns, &tb.server().cpu(1),
-                        kProbePort});
+      tb.sim(),
+      {&tb.server(), &srv_probe_ns, &tb.server().cpu(1), kProbePort});
   apps::SockperfServer bg_server(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), &srv_bg_ns, &tb.server().cpu(2), kBgPort});
   apps::SockperfClient probe_client(
-      tb.client_sim(),
+      tb.sim(),
       probe_config(tb.client(), cli_probe_ns, srv_probe_ns.ip()));
   apps::SockperfClient bg_client(
-      tb.client_sim(), bg_config(tb.client(), cli_bg_ns, srv_bg_ns.ip()));
+      tb.sim(), bg_config(tb.client(), cli_bg_ns, srv_bg_ns.ip()));
   probe_client.start();
   bg_client.start();
 

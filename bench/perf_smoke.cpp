@@ -105,11 +105,6 @@ PointResult run_point(double bg_rate_pps, sim::Duration duration,
   harness::TestbedConfig tc;
   tc.mode = kernel::NapiMode::kPrismSync;
   tc.flow_cache = flow_cache;
-  // This bench is the single-threaded hot-path baseline (and the seed
-  // comparison was measured on the classic engine), so it pins the
-  // engine regardless of any --threads/PRISM_THREADS default.
-  // bench/perf_parallel.cpp owns the multi-lane numbers.
-  tc.threads = 1;
   harness::Testbed tb(tc);
   telemetry::SpanTracer tracer;
   if (full_telemetry) {

@@ -26,10 +26,11 @@
 //                   [--disruptions N]
 //   --short runs the reduced CI profile.
 //   --disruptions N overrides the profile's disruptions per container
-//     (the churn-rate knob of the EXPERIMENTS.md table).
-//   --threads N runs a single pass on N engine threads (instead of the
-//     internal 1-vs-4 comparison) — combined with --snapshot FILE this
-//     lets CI diff snapshots across processes and thread counts.
+//     (the churn-rate knob of the EXPERIMENTS.md table); N < 0 runs with
+//     none, the baseline arm.
+//   --threads N (1..1024) runs a single pass on N engine threads (instead
+//     of the internal 1-vs-4 comparison) — combined with --snapshot FILE
+//     this lets CI diff snapshots across processes and thread counts.
 // Exit status is non-zero if any monitor fails — registered with ctest
 // under the "soak" label.
 #include <cstdint>
@@ -38,6 +39,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -544,23 +546,27 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
 int main_impl(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool shortened = false;
-  int fixed_threads = 0;
-  int disruptions = 0;  // 0 = the profile's default
+  // 0 = the default two-pass (1-thread, then 4-thread) mode.
+  const int fixed_threads =
+      static_cast<int>(parse_long_flag(argc, argv, "--threads", 0, 1, 1024));
+  // 0 = the profile's default; negative = no disruptions (baseline arm).
+  const int disruptions = static_cast<int>(
+      parse_long_flag(argc, argv, "--disruptions", 0,
+                      std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max()));
   const char* snapshot_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--short") == 0) {
       shortened = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      fixed_threads =
-          static_cast<int>(parse_long_or_die(argv[++i], "--threads"));
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      fixed_threads =
-          static_cast<int>(parse_long_or_die(argv[i] + 10, "--threads"));
+    } else if ((std::strcmp(argv[i], "--threads") == 0 ||
+                std::strcmp(argv[i], "--disruptions") == 0) &&
+               i + 1 < argc) {
+      ++i;  // parsed above
+    } else if (std::strncmp(argv[i], "--threads=", 10) == 0 ||
+               std::strncmp(argv[i], "--disruptions=", 14) == 0) {
+      // parsed above
     } else if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
       snapshot_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--disruptions") == 0 && i + 1 < argc) {
-      disruptions =
-          static_cast<int>(parse_long_or_die(argv[++i], "--disruptions"));
     } else {
       const long v = parse_long_or_die(argv[i], "seed");
       if (v < 1) {

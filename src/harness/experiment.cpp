@@ -26,11 +26,10 @@ constexpr std::uint16_t kBgSrcBase = 21000;
 constexpr sim::Duration kDrain = sim::milliseconds(20);
 
 TestbedConfig testbed_config(const kernel::CostModel& cost,
-                             kernel::NapiMode mode, int threads) {
+                             kernel::NapiMode mode) {
   TestbedConfig tc;
   tc.cost = cost;
   tc.mode = mode;
-  tc.threads = threads;
   return tc;
 }
 
@@ -38,7 +37,7 @@ TestbedConfig testbed_config(const kernel::CostModel& cost,
 /// anomaly bank at the warmup boundary so the reported attribution and
 /// detector findings cover only the measurement window.
 void reset_latency_at_warmup(Testbed& tb, sim::Time warmup) {
-  tb.server_sim().schedule_at(warmup, [&tb] {
+  tb.sim().schedule_at(warmup, [&tb] {
     tb.server().latency_ledger().reset();
     tb.server().flow_table().reset();
     tb.server().flight_recorder().reset();
@@ -78,7 +77,7 @@ void fill_flowcache_stats(Result& result, Testbed& tb) {
 
 PriorityScenarioResult run_priority_scenario(
     const PriorityScenarioConfig& cfg) {
-  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode, cfg.threads);
+  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode);
   tc.flow_cache = cfg.flow_cache;
   if (cfg.wire_drop_rate > 0 || cfg.wire_dup_rate > 0) {
     tc.server_faults.wire_drop_rate = cfg.wire_drop_rate;
@@ -122,10 +121,10 @@ PriorityScenarioResult run_priority_scenario(
 
   // Server applications, each on its own core (paper §V-B2).
   apps::SockperfServer probe_server(
-      tb.server_sim(), {&tb.server(), srv_probe_ns, &tb.server().cpu(1),
-                        kProbePort});
+      tb.sim(),
+      {&tb.server(), srv_probe_ns, &tb.server().cpu(1), kProbePort});
   apps::SockperfServer bg_server(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), srv_bg_ns, &tb.server().cpu(2), kBgPort});
 
   // Probe client: ping-pong, every packet echoed.
@@ -141,7 +140,7 @@ PriorityScenarioResult run_priority_scenario(
   probe_cfg.reply_every = 1;
   probe_cfg.start_at = cfg.warmup;
   probe_cfg.stop_at = t_end;
-  apps::SockperfClient probe_client(tb.client_sim(), probe_cfg);
+  apps::SockperfClient probe_client(tb.sim(), probe_cfg);
 
   // Background: constant-rate UDP throughput traffic across two threads.
   apps::SockperfClient::Config bg_cfg;
@@ -159,20 +158,19 @@ PriorityScenarioResult run_priority_scenario(
   bg_cfg.reply_every = 0;
   bg_cfg.start_at = 0;
   bg_cfg.stop_at = t_end + kDrain / 2;
-  apps::SockperfClient bg_client(tb.client_sim(), bg_cfg);
+  apps::SockperfClient bg_client(tb.sim(), bg_cfg);
 
   probe_client.start();
   if (cfg.busy && cfg.bg_rate_pps > 0) bg_client.start();
 
-  // Measure server RX-core utilization over the probe window (server
-  // state, so it samples on the server's lane).
+  // Measure server RX-core utilization over the probe window.
   auto& rx_acct = tb.server_rx_cpu().accounting();
-  tb.server_sim().schedule_at(cfg.warmup, [&] {
-    rx_acct.begin_window(tb.server_sim().now());
+  tb.sim().schedule_at(cfg.warmup, [&] {
+    rx_acct.begin_window(tb.sim().now());
   });
   double utilization = 0.0;
-  tb.server_sim().schedule_at(t_end, [&] {
-    utilization = rx_acct.utilization(tb.server_sim().now());
+  tb.sim().schedule_at(t_end, [&] {
+    utilization = rx_acct.utilization(tb.sim().now());
   });
 
   tb.run_until(t_end + kDrain);
@@ -213,7 +211,7 @@ PriorityScenarioResult run_priority_scenario(
 
 StreamlinedScenarioResult run_streamlined_scenario(
     const StreamlinedScenarioConfig& cfg) {
-  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode, cfg.threads);
+  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode);
   tc.flow_cache = cfg.flow_cache;
   Testbed tb(tc);
   reset_latency_at_warmup(tb, cfg.warmup);
@@ -229,7 +227,7 @@ StreamlinedScenarioResult run_streamlined_scenario(
   tb.client().priority_db().add(cli_ns.ip(), kProbeSrcPort + 1);
 
   apps::SockperfServer server(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), &srv_ns, &tb.server().cpu(1), kProbePort});
 
   apps::SockperfClient::Config cc;
@@ -248,30 +246,27 @@ StreamlinedScenarioResult run_streamlined_scenario(
   cc.jitter = 0.05;
   cc.start_at = 0;
   cc.stop_at = t_end;
-  apps::SockperfClient client(tb.client_sim(), cc);
+  apps::SockperfClient client(tb.sim(), cc);
   client.start();
 
-  // Window-edge sampling, split by which host owns the counter: server
-  // goodput and CPU accounting sample on the server's lane, the client
-  // send counter on the client's lane. In classic mode both lanes are the
-  // same simulator, so the split is behavior-neutral.
+  // Window-edge sampling of server goodput, server RX-core accounting
+  // and the client send counter.
   auto& rx_acct = tb.server_rx_cpu().accounting();
   std::uint64_t received_at_warmup = 0;
-  tb.server_sim().schedule_at(cfg.warmup, [&] {
-    rx_acct.begin_window(tb.server_sim().now());
+  tb.sim().schedule_at(cfg.warmup, [&] {
+    rx_acct.begin_window(tb.sim().now());
     received_at_warmup = server.received();
   });
   double utilization = 0.0;
   std::uint64_t received_at_end = 0;
   std::uint64_t sent_at_warmup = 0;
-  tb.client_sim().schedule_at(cfg.warmup,
-                              [&] { sent_at_warmup = client.sent(); });
+  tb.sim().schedule_at(cfg.warmup, [&] { sent_at_warmup = client.sent(); });
   std::uint64_t sent_at_end = 0;
-  tb.server_sim().schedule_at(t_end, [&] {
-    utilization = rx_acct.utilization(tb.server_sim().now());
+  tb.sim().schedule_at(t_end, [&] {
+    utilization = rx_acct.utilization(tb.sim().now());
     received_at_end = server.received();
   });
-  tb.client_sim().schedule_at(t_end, [&] { sent_at_end = client.sent(); });
+  tb.sim().schedule_at(t_end, [&] { sent_at_end = client.sent(); });
 
   tb.run_until(t_end + kDrain);
 
@@ -291,7 +286,7 @@ StreamlinedScenarioResult run_streamlined_scenario(
 
 MemcachedScenarioResult run_memcached_scenario(
     const MemcachedScenarioConfig& cfg) {
-  Testbed tb(testbed_config(cfg.cost, cfg.mode, cfg.threads));
+  Testbed tb(testbed_config(cfg.cost, cfg.mode));
   reset_latency_at_warmup(tb, cfg.warmup);
   const sim::Time t_end = cfg.warmup + cfg.duration;
 
@@ -307,11 +302,11 @@ MemcachedScenarioResult run_memcached_scenario(
   sc.host = &tb.server();
   sc.ns = &srv_mc_ns;
   sc.cpu = &tb.server().cpu(1);
-  apps::MemcachedServer mc_server(tb.server_sim(), sc);
+  apps::MemcachedServer mc_server(tb.sim(), sc);
   mc_server.preload(10000, cfg.value_size);
 
   apps::SockperfServer bg_server(
-      tb.server_sim(),
+      tb.sim(),
       {&tb.server(), &srv_bg_ns, &tb.server().cpu(2), kBgPort});
 
   apps::MemaslapClient::Config mc;
@@ -326,7 +321,7 @@ MemcachedScenarioResult run_memcached_scenario(
   mc.start_at = cfg.warmup;
   mc.stop_at = t_end;
   mc.seed = cfg.seed;
-  apps::MemaslapClient memaslap(tb.client_sim(), mc);
+  apps::MemaslapClient memaslap(tb.sim(), mc);
 
   apps::SockperfClient::Config bg_cfg;
   bg_cfg.host = &tb.client();
@@ -340,18 +335,18 @@ MemcachedScenarioResult run_memcached_scenario(
   bg_cfg.reply_every = 0;
   bg_cfg.start_at = 0;
   bg_cfg.stop_at = t_end + kDrain / 2;
-  apps::SockperfClient bg_client(tb.client_sim(), bg_cfg);
+  apps::SockperfClient bg_client(tb.sim(), bg_cfg);
 
   memaslap.start();
   if (cfg.busy && cfg.bg_rate_pps > 0) bg_client.start();
 
   auto& rx_acct = tb.server_rx_cpu().accounting();
-  tb.server_sim().schedule_at(cfg.warmup, [&] {
-    rx_acct.begin_window(tb.server_sim().now());
+  tb.sim().schedule_at(cfg.warmup, [&] {
+    rx_acct.begin_window(tb.sim().now());
   });
   double utilization = 0.0;
-  tb.server_sim().schedule_at(t_end, [&] {
-    utilization = rx_acct.utilization(tb.server_sim().now());
+  tb.sim().schedule_at(t_end, [&] {
+    utilization = rx_acct.utilization(tb.sim().now());
   });
 
   tb.run_until(t_end + kDrain);
@@ -367,7 +362,7 @@ MemcachedScenarioResult run_memcached_scenario(
 }
 
 WebScenarioResult run_web_scenario(const WebScenarioConfig& cfg) {
-  Testbed tb(testbed_config(cfg.cost, cfg.mode, cfg.threads));
+  Testbed tb(testbed_config(cfg.cost, cfg.mode));
   reset_latency_at_warmup(tb, cfg.warmup);
   const sim::Time t_end = cfg.warmup + cfg.duration;
 
@@ -401,7 +396,7 @@ WebScenarioResult run_web_scenario(const WebScenarioConfig& cfg) {
   wc.rate_rps = cfg.web_rate_rps;
   wc.start_at = cfg.warmup;
   wc.stop_at = t_end;
-  apps::Wrk2Client wrk(tb.client_sim(), wc);
+  apps::Wrk2Client wrk(tb.sim(), wc);
 
   // Background: TCP bulk (sockperf TCP throughput, 64 KB messages).
   auto& bg_cli_ep =
@@ -417,18 +412,18 @@ WebScenarioResult run_web_scenario(const WebScenarioConfig& cfg) {
   bc.message_size = cfg.bg_message_size;
   bc.start_at = 0;
   bc.stop_at = t_end + kDrain / 2;
-  apps::SockperfTcpSender bg_sender(tb.client_sim(), bc);
+  apps::SockperfTcpSender bg_sender(tb.sim(), bc);
 
   wrk.start();
   if (cfg.busy && cfg.bg_rate_mps > 0) bg_sender.start();
 
   auto& rx_acct = tb.server_rx_cpu().accounting();
-  tb.server_sim().schedule_at(cfg.warmup, [&] {
-    rx_acct.begin_window(tb.server_sim().now());
+  tb.sim().schedule_at(cfg.warmup, [&] {
+    rx_acct.begin_window(tb.sim().now());
   });
   double utilization = 0.0;
-  tb.server_sim().schedule_at(t_end, [&] {
-    utilization = rx_acct.utilization(tb.server_sim().now());
+  tb.sim().schedule_at(t_end, [&] {
+    utilization = rx_acct.utilization(tb.sim().now());
   });
 
   tb.run_until(t_end + kDrain);

@@ -6,8 +6,6 @@ namespace prism::harness {
 
 namespace {
 
-int g_default_threads = 1;
-
 kernel::HostConfig client_config(const TestbedConfig& cfg) {
   kernel::HostConfig h;
   h.name = "client";
@@ -41,53 +39,23 @@ kernel::HostConfig server_config(const TestbedConfig& cfg) {
   return h;
 }
 
-int resolve_threads(int configured) {
-  int t = configured == 0 ? g_default_threads : configured;
-  return t < 1 ? 1 : t;
-}
-
 }  // namespace
 
-void set_default_threads(int threads) {
-  g_default_threads = threads < 1 ? 1 : threads;
-}
-
-int default_threads() { return g_default_threads; }
-
 Testbed::Testbed(const TestbedConfig& config)
-    : threads_(resolve_threads(config.threads)),
-      sim_(threads_ > 1 ? nullptr : std::make_unique<sim::Simulator>()),
-      lanes_(threads_ > 1 ? std::make_unique<sim::LaneSet>(2) : nullptr),
-      client_(client_sim(), client_config(config)),
-      server_(server_sim(), server_config(config)),
-      wire_(lanes_ ? std::make_unique<nic::Wire>(*lanes_, 0, 1,
-                                                 config.wire_gbps,
-                                                 config.propagation)
-                   : std::make_unique<nic::Wire>(*sim_, config.wire_gbps,
-                                                 config.propagation)),
+    : client_(sim_, client_config(config)),
+      server_(sim_, server_config(config)),
+      wire_(sim_, config.wire_gbps, config.propagation),
       overlay_(config.vni) {
-  wire_->attach(client_.nic(), server_.nic());
-  client_.nic().attach_wire(*wire_);
-  server_.nic().attach_wire(*wire_);
+  if (config.threads != 1) {
+    throw std::invalid_argument(
+        "TestbedConfig::threads must be 1: the testbed has one engine; "
+        "use harness::Cluster for the parallel lane engine");
+  }
+  wire_.attach(client_.nic(), server_.nic());
+  client_.nic().attach_wire(wire_);
+  server_.nic().attach_wire(wire_);
   client_.add_neighbor(server_.ip(), server_.mac());
   server_.add_neighbor(client_.ip(), client_.mac());
-}
-
-sim::Simulator& Testbed::sim() {
-  if (lanes_) {
-    throw std::logic_error(
-        "Testbed::sim(): no shared simulator in lane mode; use "
-        "client_sim()/server_sim() and Testbed::run_until()");
-  }
-  return *sim_;
-}
-
-void Testbed::run_until(sim::Time deadline) {
-  if (lanes_) {
-    lanes_->run_until(deadline, tracer_shared_ ? 1 : threads_);
-  } else {
-    sim_->run_until(deadline);
-  }
 }
 
 overlay::Netns& Testbed::add_client_container(const std::string& name) {

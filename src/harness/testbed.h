@@ -7,34 +7,22 @@
 // across queues so it is never the bottleneck. One VXLAN overlay spans
 // both hosts for container workloads.
 //
-// The testbed runs on one of two engines, selected by TestbedConfig::
-// threads: the classic shared single-threaded Simulator (threads <= 1,
-// the default), or the parallel lane backend (threads >= 2) where each
-// host owns a simulation lane and the wire's propagation delay is the
-// conservative lookahead (sim/lane.h). Lane-mode runs are deterministic
-// for any thread count; callers drive the clock through run_until() and
-// address each host's lane with client_sim()/server_sim(), which in
-// classic mode all refer to the one shared simulator.
+// Both hosts and the wire schedule on one shared single-threaded
+// Simulator. The parallel lane engine (sim/lane.h) is not offered here:
+// the 500 ns link caps every lane window at 500 ns, so two lanes run the
+// same schedule many times slower. Multi-host runs that can use lanes go
+// through harness::Cluster.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "kernel/host.h"
 #include "nic/wire.h"
 #include "overlay/overlay_network.h"
-#include "sim/lane.h"
 #include "sim/simulator.h"
 
 namespace prism::harness {
-
-/// Process-wide default for TestbedConfig::threads == 0 (and thus for
-/// every scenario config that leaves threads at 0). Benches set it once
-/// from a --threads flag; the parallel backend becomes opt-in everywhere
-/// without per-bench plumbing. Values < 1 clamp to 1.
-void set_default_threads(int threads);
-int default_threads();
 
 /// Testbed parameters. Defaults mirror the paper's setup.
 struct TestbedConfig {
@@ -67,10 +55,10 @@ struct TestbedConfig {
   /// Overlay flow cache (ONCache-style stage-1 fast path) on both hosts.
   /// Off by default so baselines measure the full pipeline.
   bool flow_cache = false;
-  /// Simulation engine: 0 = use harness::default_threads(); 1 = classic
-  /// shared simulator; >= 2 = parallel lanes (client lane 0, server lane
-  /// 1) run on that many OS threads (clamped to the lane count).
-  int threads = 0;
+  /// Engine thread count. The testbed has one engine, so this must be 1;
+  /// any other value throws std::invalid_argument. Kept only because
+  /// perfbench/prism_perfbench.cpp still sets it.
+  int threads = 1;
 };
 
 /// Two hosts, a wire, and one overlay network.
@@ -81,34 +69,20 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  /// True when the parallel lane backend is active (threads >= 2).
-  bool parallel() const noexcept { return lanes_ != nullptr; }
-  /// Resolved thread count the testbed runs with.
-  int threads() const noexcept { return threads_; }
+  /// The simulator both hosts and the wire schedule on.
+  sim::Simulator& sim() noexcept { return sim_; }
 
-  /// The classic shared simulator. Throws std::logic_error in lane mode —
-  /// there is no single simulator there; use client_sim()/server_sim()
-  /// to schedule and run_until() to drive the clock.
-  sim::Simulator& sim();
+  /// Aliases of sim(), kept only for perfbench/prism_perfbench.cpp.
+  sim::Simulator& client_sim() noexcept { return sim_; }
+  sim::Simulator& server_sim() noexcept { return sim_; }
 
-  /// The simulator the client/server host schedules on. In classic mode
-  /// both return the shared simulator.
-  sim::Simulator& client_sim() noexcept {
-    return lanes_ ? lanes_->lane(0) : *sim_;
-  }
-  sim::Simulator& server_sim() noexcept {
-    return lanes_ ? lanes_->lane(1) : *sim_;
-  }
-
-  /// Advances the simulation to `deadline` on the configured engine.
-  /// Lane mode uses the configured thread count (forced to one thread,
-  /// with identical results, while a shared span tracer is attached).
-  void run_until(sim::Time deadline);
+  /// Advances the simulation to `deadline`.
+  void run_until(sim::Time deadline) { sim_.run_until(deadline); }
 
   kernel::Host& client() noexcept { return client_; }
   kernel::Host& server() noexcept { return server_; }
   overlay::OverlayNetwork& overlay() noexcept { return overlay_; }
-  nic::Wire& wire() noexcept { return *wire_; }
+  nic::Wire& wire() noexcept { return wire_; }
 
   /// Adds a container on the client/server host. Container IPs are
   /// auto-assigned in 172.17.0.0/16.
@@ -126,24 +100,17 @@ class Testbed {
   /// Attaches one shared span tracer to both hosts: server CPUs on
   /// tracks [0, server_cpus), client CPUs on the tracks after them, so
   /// one exported trace shows every core of the testbed as its own row.
-  /// In lane mode this forces windows onto a single thread (the tracer
-  /// is not thread-safe); the simulation results are unchanged.
   void attach_span_tracer(telemetry::SpanTracer& tracer) {
-    tracer_shared_ = true;
     server_.set_span_tracer(&tracer, 0);
     client_.set_span_tracer(&tracer, server_.num_cpus());
   }
 
  private:
-  /// Resolved before the hosts so member init can pick the right engine.
-  int threads_;
-  std::unique_ptr<sim::Simulator> sim_;   ///< classic mode (threads <= 1)
-  std::unique_ptr<sim::LaneSet> lanes_;   ///< lane mode (threads >= 2)
+  sim::Simulator sim_;
   kernel::Host client_;
   kernel::Host server_;
-  std::unique_ptr<nic::Wire> wire_;
+  nic::Wire wire_;
   overlay::OverlayNetwork overlay_;
-  bool tracer_shared_ = false;
   std::uint8_t next_container_ip_ = 2;
 };
 

@@ -233,11 +233,6 @@ Host::Host(sim::Simulator& sim, HostConfig config)
                          t->dropped_records()});
       }
     }
-    if (const auto* t = deliverer_->packet_trace(); t != nullptr) {
-      rings.push_back({"packet_trace",
-                       static_cast<std::uint64_t>(t->size()),
-                       t->dropped_records()});
-    }
     return telemetry::telemetry_json(telemetry_, rings);
   });
   proc_->register_file("prism/latency", [this] {

@@ -58,7 +58,6 @@ sim::Duration SocketDeliverer::deliver(Skb& skb, sim::Time at,
     extra += deliver_frame(skb, skb.gro_chain[i].bytes(), nullptr, at, ns,
                            i + 1 == skb.gro_chain.size());
   }
-  if (trace_) trace_->on_delivered(skb, at);
   return extra;
 }
 

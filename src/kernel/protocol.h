@@ -12,7 +12,6 @@
 #include "kernel/skb.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
-#include "trace/packet_trace.h"
 
 namespace prism::overlay {
 class Netns;
@@ -41,11 +40,6 @@ class SocketDeliverer {
 
   SocketDeliverer(const SocketDeliverer&) = delete;
   SocketDeliverer& operator=(const SocketDeliverer&) = delete;
-
-  void set_packet_trace(trace::PacketTrace* trace) noexcept {
-    trace_ = trace;
-  }
-  const trace::PacketTrace* packet_trace() const noexcept { return trace_; }
 
   /// Attaches the latency ledger and flow table (telemetry/latency.h,
   /// telemetry/flow_table.h). Delivery is the one point where a packet's
@@ -113,7 +107,6 @@ class SocketDeliverer {
 
   sim::Simulator& sim_;
   const CostModel& cost_;
-  trace::PacketTrace* trace_ = nullptr;
   telemetry::LatencyLedger* ledger_ = nullptr;
   telemetry::FlowTable* flows_ = nullptr;
   telemetry::FlightRecorder* recorder_ = nullptr;

@@ -62,8 +62,8 @@ void write_sample_members(JsonWriter& w,
 std::string registry_json(const Registry& registry);
 
 /// Retention stats of one bounded ring beyond the bundle's own (a poll
-/// or packet trace attached to the host), reported under "rings" so
-/// truncation is never silent.
+/// trace attached to the host), reported under "rings" so truncation is
+/// never silent.
 struct RingStat {
   std::string name;
   std::uint64_t retained = 0;

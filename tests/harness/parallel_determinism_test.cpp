@@ -193,52 +193,5 @@ TEST(ParallelDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_NE(a.host_snapshots, b.host_snapshots);
 }
 
-// Testbed lane mode: the paper testbed on two lanes must match itself
-// run-to-run (and its classic-engine counters must stay plausible).
-TEST(ParallelDeterminismTest, TestbedLaneModeIsRepeatable) {
-  auto run_testbed = [](int threads) {
-    harness::TestbedConfig tc;
-    tc.threads = threads;
-    harness::Testbed tb(tc);
-    auto& cli = tb.add_client_container("cli");
-    auto& srv = tb.add_server_container("srv");
-    tb.server().priority_db().add(srv.ip(), 11111);
-    apps::SockperfServer server(
-        tb.server_sim(),
-        {&tb.server(), &srv, &tb.server().cpu(1), 11111});
-    apps::SockperfClient::Config clc;
-    clc.host = &tb.client();
-    clc.ns = &cli;
-    clc.cpus = {&tb.client().cpu(1)};
-    clc.dst_ip = srv.ip();
-    clc.dst_port = 11111;
-    clc.rate_pps = 100'000.0;
-    clc.reply_every = 2;
-    clc.stop_at = sim::milliseconds(4);
-    apps::SockperfClient client(tb.client_sim(), clc);
-    client.start();
-    tb.run_until(sim::milliseconds(5));
-    return tb.server().proc().read("prism/telemetry") +
-           std::to_string(server.received()) + "/" +
-           std::to_string(client.replies());
-  };
-  const std::string lane_a = run_testbed(2);
-  const std::string lane_b = run_testbed(2);
-  EXPECT_EQ(lane_a, lane_b);
-  EXPECT_NE(lane_a.find("/"), std::string::npos);
-}
-
-TEST(ParallelDeterminismTest, TestbedClassicSimAccessorThrowsInLaneMode) {
-  harness::TestbedConfig tc;
-  tc.threads = 2;
-  harness::Testbed tb(tc);
-  EXPECT_TRUE(tb.parallel());
-  EXPECT_THROW(tb.sim(), std::logic_error);
-  tc.threads = 1;
-  harness::Testbed classic(tc);
-  EXPECT_FALSE(classic.parallel());
-  EXPECT_NO_THROW(classic.sim());
-}
-
 }  // namespace
 }  // namespace prism

@@ -235,7 +235,7 @@ TEST(ChurnLifecycleTest, SockperfRetriesRecoverAcrossRestart) {
   auto& s1 = tb.add_server_container("s1");
 
   auto server = std::make_unique<apps::SockperfServer>(
-      tb.server_sim(), apps::SockperfServer::Config{
+      tb.sim(), apps::SockperfServer::Config{
                            &tb.server(), &s1, &tb.server().cpu(1), 7000});
 
   apps::SockperfClient::Config ccfg;
@@ -250,7 +250,7 @@ TEST(ChurnLifecycleTest, SockperfRetriesRecoverAcrossRestart) {
   ccfg.max_retries = 5;
   ccfg.max_backoff = sim::milliseconds(4);
   ccfg.stop_at = sim::milliseconds(30);
-  apps::SockperfClient client(tb.client_sim(), ccfg);
+  apps::SockperfClient client(tb.sim(), ccfg);
   client.start();
 
   // Outage: stop at 10 ms, restart (new incarnation + new app) at 13 ms.
@@ -259,7 +259,7 @@ TEST(ChurnLifecycleTest, SockperfRetriesRecoverAcrossRestart) {
   tb.sim().schedule_at(sim::milliseconds(13), [&] {
     overlay::Netns& fresh = tb.overlay().restart_container(s1);
     server = std::make_unique<apps::SockperfServer>(
-        tb.server_sim(),
+        tb.sim(),
         apps::SockperfServer::Config{&tb.server(), &fresh,
                                      &tb.server().cpu(1), 7000});
   });
@@ -276,7 +276,7 @@ TEST(ChurnLifecycleTest, SockperfAbandonsAfterMaxRetriesWithoutRestart) {
   auto& c1 = tb.add_client_container("c1");
   auto& s1 = tb.add_server_container("s1");
   apps::SockperfServer server(
-      tb.server_sim(), apps::SockperfServer::Config{
+      tb.sim(), apps::SockperfServer::Config{
                            &tb.server(), &s1, &tb.server().cpu(1), 7000});
 
   apps::SockperfClient::Config ccfg;
@@ -290,7 +290,7 @@ TEST(ChurnLifecycleTest, SockperfAbandonsAfterMaxRetriesWithoutRestart) {
   ccfg.reply_timeout = sim::milliseconds(1);
   ccfg.max_retries = 2;
   ccfg.stop_at = sim::milliseconds(20);
-  apps::SockperfClient client(tb.client_sim(), ccfg);
+  apps::SockperfClient client(tb.sim(), ccfg);
   client.start();
 
   tb.sim().schedule_at(sim::milliseconds(5),
@@ -308,7 +308,7 @@ TEST(ChurnLifecycleTest, MemaslapRetriesSameRequestAcrossOutage) {
   auto& c1 = tb.add_client_container("c1");
   auto& s1 = tb.add_server_container("s1");
   auto server = std::make_unique<apps::MemcachedServer>(
-      tb.server_sim(),
+      tb.sim(),
       apps::MemcachedServer::Config{&tb.server(), &s1,
                                     &tb.server().cpu(1)});
 
@@ -322,7 +322,7 @@ TEST(ChurnLifecycleTest, MemaslapRetriesSameRequestAcrossOutage) {
   mcfg.max_retries = 4;
   mcfg.retry_backoff = sim::milliseconds(1);
   mcfg.stop_at = sim::milliseconds(40);
-  apps::MemaslapClient client(tb.client_sim(), mcfg);
+  apps::MemaslapClient client(tb.sim(), mcfg);
   client.start();
 
   tb.sim().schedule_at(sim::milliseconds(10),
@@ -330,7 +330,7 @@ TEST(ChurnLifecycleTest, MemaslapRetriesSameRequestAcrossOutage) {
   tb.sim().schedule_at(sim::milliseconds(14), [&] {
     overlay::Netns& fresh = tb.overlay().restart_container(s1);
     server = std::make_unique<apps::MemcachedServer>(
-        tb.server_sim(),
+        tb.sim(),
         apps::MemcachedServer::Config{&tb.server(), &fresh,
                                       &tb.server().cpu(1)});
   });

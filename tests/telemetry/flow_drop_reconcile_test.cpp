@@ -67,7 +67,7 @@ TEST(FlowDropReconcileTest, SocketLayerDropsMatchDropLedgerTotals) {
   auto& srv = tb.add_server_container("srv");
   tb.server().priority_db().add(srv.ip(), 11111);
   apps::SockperfServer server(
-      tb.server_sim(), {&tb.server(), &srv, &tb.server().cpu(1), 11111});
+      tb.sim(), {&tb.server(), &srv, &tb.server().cpu(1), 11111});
 
   auto make_client = [&](overlay::Netns& ns, kernel::Cpu& cpu,
                          std::uint16_t dst_port) {
@@ -80,7 +80,7 @@ TEST(FlowDropReconcileTest, SocketLayerDropsMatchDropLedgerTotals) {
     clc.rate_pps = 50'000.0;
     clc.reply_every = 4;
     clc.stop_at = sim::milliseconds(2);
-    return apps::SockperfClient(tb.client_sim(), clc);
+    return apps::SockperfClient(tb.sim(), clc);
   };
   auto good = make_client(good_ns, tb.client().cpu(1), 11111);
   auto bad = make_client(bad_ns, tb.client().cpu(2), 7777);  // unbound
