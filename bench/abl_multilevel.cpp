@@ -11,8 +11,9 @@
 #include "bench_util.h"
 #include "harness/testbed.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Extension", "multiple priority levels under heavy load");
 

@@ -14,8 +14,9 @@
 #include "bench_util.h"
 #include "harness/experiment.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Ablation",
       "preemption granularity: none / queues-only / batch / per-packet");

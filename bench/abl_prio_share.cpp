@@ -9,8 +9,9 @@
 #include "bench_util.h"
 #include "harness/experiment.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Ablation", "high-priority traffic share vs PRISM benefit");
 

@@ -78,8 +78,9 @@ Result run(bool rps, prism::kernel::NapiMode mode, double rate_pps,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {});
   bench::print_header("Ablation",
                       "RPS (flow parallelism) vs PRISM (prioritization)");
 

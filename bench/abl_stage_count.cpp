@@ -25,8 +25,9 @@ prism::sim::Time first_delivery(prism::kernel::NapiMode mode, int stages) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Ablation", "pipeline depth (NFV-chain scaling), first-batch "
                   "completion");

@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "harness/experiment.h"
 #include "harness/testbed.h"
@@ -40,6 +42,28 @@ inline long parse_long_or_die(const char* text, const char* what) {
     std::exit(2);
   }
   return value;
+}
+
+/// Exits 2 unless every argument is one of the bench's `flags`, each
+/// given a value as `--flag V` or `--flag=V`. A flag the bench does not
+/// know (a typo, or one that was removed) must not run the default
+/// configuration and exit 0 as if it had been honoured.
+inline void check_flags(int argc, char** argv,
+                        std::initializer_list<std::string_view> flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view name = arg.substr(0, arg.find('='));
+    bool known = false;
+    for (const std::string_view flag : flags) known = known || flag == name;
+    if (!known) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      std::exit(2);
+    }
+    if (name.size() == arg.size() && ++i == argc) {
+      std::fprintf(stderr, "error: %s: missing value\n", argv[i - 1]);
+      std::exit(2);
+    }
+  }
 }
 
 /// Generic `--flag N` / `--flag=N` integer parser for the bench flags

@@ -10,8 +10,9 @@
 #include "harness/experiment.h"
 #include "stats/cdf.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {});
   bench::print_header(
       "Figure 3",
       "latency CDF with and without background traffic (vanilla)");

@@ -67,10 +67,14 @@ prism::trace::PollTrace trace_mode(
 
 int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {"--trace-out"});
   const char* trace_out = nullptr;
+  // check_flags admits only `--trace-out PATH` and `--trace-out=PATH`.
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace-out") == 0) {
       trace_out = argv[++i];
+    } else {
+      trace_out = argv[i] + std::strlen("--trace-out=");
     }
   }
 

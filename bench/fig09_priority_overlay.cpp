@@ -17,6 +17,8 @@
 
 int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(
+      argc, argv, {"--seed", "--trace-flows", "--slo-us", "--inversion-us"});
   bench::print_header(
       "Figure 9", "high-priority overlay latency vs background traffic");
 

@@ -14,6 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(
+      argc, argv, {"--seed", "--trace-flows", "--slo-us", "--inversion-us"});
   bench::print_header(
       "Figure 10", "high-priority HOST-path latency vs background traffic");
 

@@ -12,8 +12,9 @@
 #include "bench_util.h"
 #include "harness/experiment.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prism;
+  bench::check_flags(argc, argv, {});
   bench::print_header("Figure 11",
                       "high-priority latency vs background load");
 

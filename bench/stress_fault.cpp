@@ -151,7 +151,9 @@ std::string reason_breakdown(const RunResult& r) {
     if (n == 0) continue;
     if (!out.empty()) out += " ";
     out += fault::drop_reason_name(static_cast<fault::DropReason>(reason));
-    out += "=" + std::to_string(n);
+    // Not `"=" + to_string(n)`: GCC 12 -O3 false -Wrestrict on it.
+    out += '=';
+    out += std::to_string(n);
   }
   return out.empty() ? "-" : out;
 }

@@ -133,7 +133,8 @@ class SyntheticPipeline {
       if (stages == 3) {
         name = i == 0 ? "br" : "veth";
       } else {
-        name = "s" + std::to_string(i + 2);
+        // Not `"s" + to_string(..)`: GCC 12 -O3 false -Wrestrict on it.
+        name = std::string("s").append(std::to_string(i + 2));
       }
       const sim::Duration per_packet =
           i + 1 == queue_stages ? cost.backlog_stage_per_packet

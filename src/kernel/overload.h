@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "kernel/napi.h"
+#include "sim/bounded.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "telemetry/metrics.h"
@@ -103,8 +104,10 @@ struct OverloadConfig {
 class FlowLimiter {
  public:
   FlowLimiter(std::size_t num_buckets, std::size_t history_len)
-      : history_(history_len == 0 ? 1 : history_len, kEmpty),
-        buckets_(num_buckets == 0 ? 1 : num_buckets, 0) {}
+      : history_(history_len == 0 ? 1 : history_len),
+        buckets_(num_buckets == 0 ? 1 : num_buckets, 0) {
+    history_.reserve();
+  }
 
   /// Records the enqueue attempt and decides: true => shed this packet.
   /// `qlen` is the backlog depth before the enqueue; below half of
@@ -115,14 +118,15 @@ class FlowLimiter {
     if (qlen < max_backlog / 2) return false;
     const auto new_flow =
         static_cast<std::uint32_t>(flow_hash % buckets_.size());
-    const std::uint32_t old_flow = history_[head_];
-    history_[head_] = new_flow;
-    head_ = (head_ + 1) % history_.size();
-    // Not-yet-written history slots hold an explicit sentinel (divergence:
-    // the kernel zero-initializes, which aliases bucket 0 and suppresses
+    // Until the history fills, no entry ages out (divergence: the kernel
+    // zero-initializes its history, which aliases bucket 0 and suppresses
     // its counts for the first pass through the history).
-    if (old_flow != kEmpty && buckets_[old_flow] > 0) --buckets_[old_flow];
-    if (buckets_[new_flow]++ > history_.size() / 2) {
+    if (history_.size() == history_.capacity()) {
+      const std::uint32_t old_flow = history_.at(0);
+      if (buckets_[old_flow] > 0) --buckets_[old_flow];
+    }
+    history_.push(new_flow);
+    if (buckets_[new_flow]++ > history_.capacity() / 2) {
       ++count_;
       return true;
     }
@@ -133,11 +137,9 @@ class FlowLimiter {
   std::uint64_t count() const noexcept { return count_; }
 
  private:
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-
-  std::vector<std::uint32_t> history_;
+  /// Bucket of each of the last history_len recorded enqueues.
+  sim::BoundedRing<std::uint32_t> history_;
   std::vector<std::uint32_t> buckets_;
-  std::size_t head_ = 0;
   std::uint64_t count_ = 0;
 };
 

@@ -5,26 +5,23 @@ namespace prism::overlay {
 const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
                                         std::uint32_t vni) {
   if (!enabled_) return nullptr;
-  const FlowCacheKey key{flow, vni};
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
+  const auto it = lru_.find(FlowCacheKey{flow, vni});
+  if (it == lru_.end()) {
     ++misses_;
     return nullptr;
   }
-  if (it->second->second.generation != generation_) {
+  if (it->value.generation != generation_) {
     // Stale: the world changed since this transform was recorded. Drop
     // the entry and report a miss — the slow path re-resolves and
     // repopulates with the current generation.
     ++stale_;
     ++misses_;
-    lru_.erase(it->second);
-    map_.erase(it);
+    lru_.erase(it);
     return nullptr;
   }
-  // Move to MRU position. splice() keeps iterators valid.
-  lru_.splice(lru_.begin(), lru_, it->second);
+  lru_.touch(it);
   ++hits_;
-  return &it->second->second;
+  return &it->value;
 }
 
 void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
@@ -32,33 +29,23 @@ void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
                        std::uint64_t generation) {
   if (!enabled_ || dst == nullptr) return;
   const FlowCacheKey key{flow, vni};
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
+  const auto it = lru_.find(key);
+  if (it != lru_.end()) {
     // Refresh in place (e.g. repopulation after an invalidation).
-    it->second->second = FlowCacheEntry{dst, priority, generation};
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++insertions_;
-    return;
+    lru_.touch(it);
+    it->value = FlowCacheEntry{dst, priority, generation};
+  } else {
+    lru_.insert(key) = FlowCacheEntry{dst, priority, generation};
   }
-  if (map_.size() >= capacity_) {
-    const auto& victim = lru_.back();
-    map_.erase(victim.first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.emplace_front(key, FlowCacheEntry{dst, priority, generation});
-  map_.emplace(key, lru_.begin());
   ++insertions_;
 }
 
 void FlowCache::reset() {
   lru_.clear();
-  map_.clear();
   hits_ = 0;
   misses_ = 0;
   stale_ = 0;
   insertions_ = 0;
-  evictions_ = 0;
   invalidations_ = 0;
 }
 
@@ -68,7 +55,7 @@ void FlowCache::bind_telemetry(telemetry::Registry& reg,
   reg.attach(prefix + "misses", misses_);
   reg.attach(prefix + "stale", stale_);
   reg.attach(prefix + "insertions", insertions_);
-  reg.attach(prefix + "evictions", evictions_);
+  reg.attach(prefix + "evictions", lru_.evictions());
   reg.attach(prefix + "invalidations", invalidations_);
 }
 

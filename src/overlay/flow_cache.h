@@ -34,20 +34,18 @@
 //
 // The cache is per-host (one host per event lane), so the parallel lane
 // engine needs no synchronization and same-seed runs stay byte-identical
-// at any thread count. Eviction is LRU over a bounded table — fully
-// deterministic, no clocks or randomness.
+// at any thread count. Eviction is LRU over a bounded table (a
+// sim::BoundedLru) — fully deterministic, no clocks or randomness.
 //
 // Disabled (HostConfig::flow_cache = false, the default): lookups return
 // nothing, inserts are no-ops, and the datapath always walks the slow path.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "net/flow.h"
+#include "sim/bounded.h"
 #include "telemetry/metrics.h"
 
 // Always compiled in; the benchmark's run manifest still prints this.
@@ -90,7 +88,7 @@ class FlowCache {
   static constexpr std::size_t kDefaultCapacity = 1024;
 
   explicit FlowCache(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? kDefaultCapacity : capacity) {}
+      : lru_(capacity == 0 ? kDefaultCapacity : capacity) {}
 
   FlowCache(const FlowCache&) = delete;
   FlowCache& operator=(const FlowCache&) = delete;
@@ -126,15 +124,15 @@ class FlowCache {
               int priority, std::uint64_t generation);
 
   // ------------------------------------------------------------- stats
-  std::size_t size() const noexcept { return map_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t size() const noexcept { return lru_.size(); }
+  std::size_t capacity() const noexcept { return lru_.capacity(); }
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   /// Lookups that found an entry from a voided generation (subset of
   /// misses() — every stale hit is also counted as a miss).
   std::uint64_t stale_hits() const noexcept { return stale_; }
   std::uint64_t insertions() const noexcept { return insertions_; }
-  std::uint64_t evictions() const noexcept { return evictions_; }
+  std::uint64_t evictions() const noexcept { return lru_.evictions(); }
   std::uint64_t invalidations() const noexcept { return invalidations_; }
   /// Steady-state quality: hits / (hits + misses), 0 when idle.
   double hit_rate() const noexcept {
@@ -151,19 +149,13 @@ class FlowCache {
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix);
 
  private:
-  using LruList = std::list<std::pair<FlowCacheKey, FlowCacheEntry>>;
-
   bool enabled_ = false;
-  std::size_t capacity_;
   std::uint64_t generation_ = 0;
-  LruList lru_;  ///< front = most recently used
-  std::unordered_map<FlowCacheKey, LruList::iterator, FlowCacheKeyHash>
-      map_;
+  sim::BoundedLru<FlowCacheKey, FlowCacheEntry, FlowCacheKeyHash> lru_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stale_ = 0;
   std::uint64_t insertions_ = 0;
-  std::uint64_t evictions_ = 0;
   std::uint64_t invalidations_ = 0;
 };
 

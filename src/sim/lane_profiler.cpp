@@ -6,12 +6,11 @@ namespace prism::sim {
 
 LaneProfiler::LaneProfiler(std::size_t round_capacity,
                            std::uint64_t sample_every)
-    : sample_every_(sample_every == 0 ? kDefaultSampleEvery : sample_every) {
-  if (round_capacity < 1) round_capacity = 1;
-  lane_ring_.capacity = round_capacity;
-  lane_ring_.data.resize(round_capacity);
-  worker_ring_.capacity = round_capacity;
-  worker_ring_.data.resize(round_capacity);
+    : lane_ring_(round_capacity < 1 ? 1 : round_capacity),
+      worker_ring_(round_capacity < 1 ? 1 : round_capacity),
+      sample_every_(sample_every == 0 ? kDefaultSampleEvery : sample_every) {
+  lane_ring_.reserve();
+  worker_ring_.reserve();
 }
 
 void LaneProfiler::begin_run(int lanes, int workers) {

@@ -47,6 +47,7 @@
 #include <mutex>
 #include <vector>
 
+#include "sim/bounded.h"
 #include "sim/time.h"
 
 namespace prism::sim {
@@ -198,21 +199,21 @@ class LaneProfiler {
   }
 
   /// Retained per-round records, oldest first.
-  std::size_t lane_round_count() const noexcept { return lane_ring_.size; }
+  std::size_t lane_round_count() const noexcept { return lane_ring_.size(); }
   const LaneRound& lane_round(std::size_t i) const {
     return lane_ring_.at(i);
   }
   std::uint64_t lane_rounds_dropped() const noexcept {
-    return lane_ring_.dropped;
+    return lane_ring_.dropped();
   }
   std::size_t worker_round_count() const noexcept {
-    return worker_ring_.size;
+    return worker_ring_.size();
   }
   const WorkerRound& worker_round(std::size_t i) const {
     return worker_ring_.at(i);
   }
   std::uint64_t worker_rounds_dropped() const noexcept {
-    return worker_ring_.dropped;
+    return worker_ring_.dropped();
   }
 
   /// Busy-time imbalance across lanes: max lane busy / mean lane busy
@@ -228,33 +229,6 @@ class LaneProfiler {
   void reset();
 
  private:
-  template <typename T>
-  struct Ring {
-    std::vector<T> data;     ///< preallocated to capacity
-    std::size_t capacity = 0;
-    std::size_t size = 0;
-    std::size_t head = 0;    ///< index of the oldest record
-    std::uint64_t dropped = 0;
-
-    void push(const T& v) {
-      if (size < capacity) {
-        data[size++] = v;
-        return;
-      }
-      data[head] = v;
-      head = (head + 1) % capacity;
-      ++dropped;
-    }
-    const T& at(std::size_t i) const {
-      return data[(head + i) % capacity];
-    }
-    void clear() {
-      size = 0;
-      head = 0;
-      dropped = 0;
-    }
-  };
-
   std::vector<LaneTotals> lanes_;
   std::vector<WorkerTotals> workers_;
   /// Guards the record rings: sampled records arrive from every worker
@@ -264,8 +238,8 @@ class LaneProfiler {
   /// owned by one worker for a whole run, critical_rounds is written by
   /// the completion step while all workers are parked).
   std::mutex ring_mu_;
-  Ring<LaneRound> lane_ring_;
-  Ring<WorkerRound> worker_ring_;
+  BoundedRing<LaneRound> lane_ring_;
+  BoundedRing<WorkerRound> worker_ring_;
   std::uint64_t sample_every_ = kDefaultSampleEvery;
   std::uint64_t windows_ = 0;
   std::uint64_t messages_ = 0;

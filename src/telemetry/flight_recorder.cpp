@@ -40,26 +40,8 @@ void FlightRecorder::configure(const FlightRecorderConfig& config) {
       round_up_pow2(config_.sample_period));
   sample_mask_ = config_.sample_period - 1;
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-  ring_.clear();
-  ring_.reserve(config_.ring_capacity);
-  head_ = 0;
-  recorded_ = 0;
-  overwritten_ = 0;
-}
-
-void FlightRecorder::push(const FlightEvent& event) {
-  if (ring_.size() < config_.ring_capacity) {
-    ring_.push_back(event);
-  } else {
-    ring_[head_] = event;
-    head_ = (head_ + 1) % config_.ring_capacity;
-    ++overwritten_;
-  }
-  ++recorded_;
-}
-
-const FlightEvent& FlightRecorder::at(std::size_t i) const noexcept {
-  return ring_[(head_ + i) % ring_.size()];
+  ring_ = sim::BoundedRing<FlightEvent>(config_.ring_capacity);
+  ring_.reserve();
 }
 
 std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {
@@ -72,13 +54,6 @@ std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {
   return out;
 }
 
-void FlightRecorder::reset() {
-  ring_.clear();
-  head_ = 0;
-  recorded_ = 0;
-  overwritten_ = 0;
-}
-
 void FlightRecorder::on_ring_arrival(const net::FiveTuple& flow, int level,
                                      sim::Time arrived, sim::Time dequeued) {
   FlightEvent e;
@@ -89,7 +64,7 @@ void FlightRecorder::on_ring_arrival(const net::FiveTuple& flow, int level,
   e.stage = 1;
   e.level = static_cast<std::int8_t>(level);
   e.head_level = -1;  // the NIC ring is a priority-blind FIFO
-  push(e);
+  ring_.push(e);
   if (anomalies_ != nullptr) {
     anomalies_->on_stage_wait(flow, 1, level, e.wait_ns, -1, dequeued);
   }
@@ -106,7 +81,7 @@ void FlightRecorder::on_enqueue(const net::FiveTuple& flow, int stage,
   e.stage = static_cast<std::uint8_t>(stage);
   e.level = static_cast<std::int8_t>(level);
   e.head_level = static_cast<std::int8_t>(head_level);
-  push(e);
+  ring_.push(e);
 }
 
 void FlightRecorder::on_dequeue(const net::FiveTuple& flow, int stage,
@@ -120,7 +95,7 @@ void FlightRecorder::on_dequeue(const net::FiveTuple& flow, int stage,
   e.stage = static_cast<std::uint8_t>(stage);
   e.level = static_cast<std::int8_t>(level);
   e.head_level = static_cast<std::int8_t>(head_level_at_enqueue);
-  push(e);
+  ring_.push(e);
   if (anomalies_ != nullptr) {
     anomalies_->on_stage_wait(flow, stage, level, wait_ns,
                               head_level_at_enqueue, at);
@@ -136,7 +111,7 @@ void FlightRecorder::on_drop(const net::FiveTuple& flow, int stage, int level,
   e.stage = static_cast<std::uint8_t>(stage);
   e.level = static_cast<std::int8_t>(level);
   e.drop_reason = static_cast<std::int8_t>(drop_reason);
-  push(e);
+  ring_.push(e);
 }
 
 void FlightRecorder::on_fast_path(const net::FiveTuple& flow, int level,
@@ -147,7 +122,7 @@ void FlightRecorder::on_fast_path(const net::FiveTuple& flow, int level,
   e.kind = FlightEventKind::kFastPath;
   e.stage = 1;
   e.level = static_cast<std::int8_t>(level);
-  push(e);
+  ring_.push(e);
 }
 
 void FlightRecorder::on_deliver(const net::FiveTuple& flow, int level,
@@ -159,7 +134,7 @@ void FlightRecorder::on_deliver(const net::FiveTuple& flow, int level,
   e.kind = FlightEventKind::kDeliver;
   e.stage = 4;
   e.level = static_cast<std::int8_t>(level);
-  push(e);
+  ring_.push(e);
 }
 
 }  // namespace prism::telemetry

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "net/flow.h"
+#include "sim/bounded.h"
 #include "sim/time.h"
 #include "telemetry/metrics.h"
 
@@ -118,29 +119,24 @@ class FlightRecorder {
 
   // ------------------------------------------------------------- inspection
   std::size_t size() const noexcept { return ring_.size(); }
-  std::size_t capacity() const noexcept { return config_.ring_capacity; }
+  std::size_t capacity() const noexcept { return ring_.capacity(); }
   /// i-th retained event, oldest first.
-  const FlightEvent& at(std::size_t i) const noexcept;
-  std::uint64_t recorded() const noexcept { return recorded_; }
-  std::uint64_t overwritten() const noexcept { return overwritten_; }
+  const FlightEvent& at(std::size_t i) const { return ring_.at(i); }
+  std::uint64_t recorded() const noexcept { return ring_.pushed(); }
+  std::uint64_t overwritten() const noexcept { return ring_.dropped(); }
 
   /// Newest `n` events, oldest-first — the slice a firing detector
   /// freezes into its finding.
   std::vector<FlightEvent> tail(std::size_t n) const;
 
-  void reset();
+  void reset() noexcept { ring_.clear(); }
 
  private:
-  void push(const FlightEvent& event);
-
   FlightRecorderConfig config_;
   std::uint64_t sample_mask_ = 63;
   bool armed_ = true;
   AnomalyBank* anomalies_ = nullptr;
-  std::vector<FlightEvent> ring_;
-  std::size_t head_ = 0;  ///< next overwrite slot once the ring is full
-  std::uint64_t recorded_ = 0;
-  std::uint64_t overwritten_ = 0;
+  sim::BoundedRing<FlightEvent> ring_{1};
 };
 
 }  // namespace prism::telemetry

@@ -1,68 +1,43 @@
 #include "telemetry/flow_table.h"
 
-#include <iterator>
-#include <stdexcept>
-
 #include "fault/fault.h"
 #include "telemetry/json_writer.h"
 
 namespace prism::telemetry {
 
 std::vector<int> FlowTable::Entry::recent_drop_reasons() const {
-  const std::size_t n =
-      drops < kDropHistory ? static_cast<std::size_t>(drops) : kDropHistory;
   std::vector<int> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(last_drop_reasons[(drop_history_head + kDropHistory - 1 -
-                                     i) %
-                                    kDropHistory]);
+  out.reserve(drop_reasons.size());
+  for (std::size_t i = drop_reasons.size(); i > 0; --i) {
+    out.push_back(drop_reasons.at(i - 1));
   }
   return out;
 }
 
-FlowTable::FlowTable(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("FlowTable: capacity must be positive");
-  }
-  index_.reserve(capacity);
+FlowTable::FlowTable(std::size_t capacity) : lru_(capacity) {
+  lru_.reserve();
 }
 
 FlowTable::Entry& FlowTable::touch(const net::FiveTuple& flow,
                                    sim::Time at) {
-  const auto it = index_.find(flow);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    it->second->last_seen = at;
-    return *it->second;
+  const auto it = lru_.find(flow);
+  if (it != lru_.end()) {
+    lru_.touch(it);
+    it->value.last_seen = at;
+    return it->value;
   }
-  if (index_.size() >= capacity_) {
-    // Evict the least-recently-seen flow, reusing its node (and its
-    // histogram's bucket storage) for the newcomer.
-    auto victim = std::prev(lru_.end());
-    index_.erase(victim->flow);
-    ++evictions_;
-    lru_.splice(lru_.begin(), lru_, victim);
-    Entry& e = lru_.front();
-    e.flow = flow;
-    e.level = 0;
-    e.packets = 0;
-    e.bytes = 0;
-    e.drops = 0;
-    e.first_seen = at;
-    e.last_seen = at;
-    e.latency.reset();
-    e.last_drop_reasons.fill(0);
-    e.drop_history_head = 0;
-    index_.emplace(flow, lru_.begin());
-    return e;
-  }
-  lru_.emplace_front();
-  Entry& e = lru_.front();
+  // A reused victim node keeps its histogram's bucket storage; clear
+  // every field it carried.
+  Entry& e = lru_.insert(flow);
   e.flow = flow;
+  e.level = 0;
+  e.packets = 0;
+  e.bytes = 0;
+  e.drops = 0;
   e.first_seen = at;
   e.last_seen = at;
-  index_.emplace(flow, lru_.begin());
+  e.latency.reset();
+  e.drop_reasons.clear();
   return e;
 }
 
@@ -82,30 +57,23 @@ void FlowTable::record_drop(const net::FiveTuple& flow, int level,
   Entry& e = touch(flow, at);
   e.level = level;
   ++e.drops;
-  e.last_drop_reasons[e.drop_history_head] =
-      static_cast<std::int8_t>(reason);
-  e.drop_history_head = static_cast<std::uint8_t>(
-      (e.drop_history_head + 1) % kDropHistory);
+  e.drop_reasons.push(static_cast<std::int8_t>(reason));
 }
 
 const FlowTable::Entry* FlowTable::lookup(
     const net::FiveTuple& flow) const {
-  const auto it = index_.find(flow);
-  return it == index_.end() ? nullptr : &*it->second;
+  const auto it = lru_.find(flow);
+  return it == lru_.end() ? nullptr : &it->value;
 }
 
 std::vector<const FlowTable::Entry*> FlowTable::entries() const {
   std::vector<const Entry*> out;
-  out.reserve(index_.size());
-  for (const Entry& e : lru_) out.push_back(&e);
+  out.reserve(lru_.size());
+  for (const auto& node : lru_) out.push_back(&node.value);
   return out;
 }
 
-void FlowTable::reset() {
-  lru_.clear();
-  index_.clear();
-  evictions_ = 0;
-}
+void FlowTable::reset() { lru_.clear(); }
 
 void write_flow_table_json(JsonWriter& w, const FlowTable& table) {
   w.begin_object();

@@ -5,19 +5,17 @@
 // per-flow view the paper's priority story implies but never shows
 // (which flow's packets are waiting, and where). The table is bounded
 // like a real flow cache: when full, the least-recently-seen flow is
-// evicted and the eviction counted — truncation is never silent. Evicted
-// nodes are reused for the incoming flow, so the steady state allocates
-// nothing.
+// evicted and the eviction counted — truncation is never silent. The
+// table is a sim::BoundedLru, which reuses evicted nodes for the incoming
+// flow, so the steady state allocates nothing.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/flow.h"
+#include "sim/bounded.h"
 #include "sim/time.h"
 #include "stats/histogram.h"
 
@@ -45,11 +43,8 @@ class FlowTable {
     sim::Time last_seen = -1;
     stats::Histogram latency{kSubBucketBits};  ///< end-to-end, ns
     /// Last-N drop reasons as fault::DropReason codes (kept as ints so
-    /// this header stays fault-free), ring-ordered: the i-th most recent
-    /// is last_drop_reasons[(drop_history_head + N - 1 - i) % N]. Only
-    /// the first min(drops, N) slots are meaningful.
-    std::array<std::int8_t, kDropHistory> last_drop_reasons{};
-    std::uint8_t drop_history_head = 0;
+    /// this header stays fault-free), oldest first.
+    sim::BoundedRing<std::int8_t> drop_reasons{kDropHistory};
 
     /// Most-recent-first view of the recorded drop reasons.
     std::vector<int> recent_drop_reasons() const;
@@ -91,10 +86,10 @@ class FlowTable {
   /// nullptr when the flow is not (or no longer) tracked.
   const Entry* lookup(const net::FiveTuple& flow) const;
 
-  std::size_t size() const noexcept { return index_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t size() const noexcept { return lru_.size(); }
+  std::size_t capacity() const noexcept { return lru_.capacity(); }
   /// Flows pushed out by the LRU bound since construction/reset.
-  std::uint64_t evictions() const noexcept { return evictions_; }
+  std::uint64_t evictions() const noexcept { return lru_.evictions(); }
 
   /// Tracked entries, most recently seen first.
   std::vector<const Entry*> entries() const;
@@ -106,11 +101,8 @@ class FlowTable {
   /// LRU front.
   Entry& touch(const net::FiveTuple& flow, sim::Time at);
 
-  std::size_t capacity_;
   bool enabled_ = true;
-  std::uint64_t evictions_ = 0;
-  std::list<Entry> lru_;  ///< front = most recently seen
-  std::unordered_map<net::FiveTuple, std::list<Entry>::iterator> index_;
+  sim::BoundedLru<net::FiveTuple, Entry> lru_;
 };
 
 /// Streams the table as JSON (the "prism/flows" proc file):

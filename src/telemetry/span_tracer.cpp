@@ -1,29 +1,10 @@
 #include "telemetry/span_tracer.h"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "telemetry/json_writer.h"
 
 namespace prism::telemetry {
-
-SpanTracer::SpanTracer(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("SpanTracer: capacity must be positive");
-  }
-}
-
-SpanTracer::NameId SpanTracer::intern(std::string_view name) {
-  const auto it = name_index_.find(std::string(name));
-  if (it != name_index_.end()) return it->second;
-  if (names_.size() > 0xffff) {
-    throw std::length_error("SpanTracer: name table full");
-  }
-  const NameId id = static_cast<NameId>(names_.size());
-  names_.emplace_back(name);
-  name_index_.emplace(names_.back(), id);
-  return id;
-}
 
 std::string SpanTracer::export_chrome_trace(
     std::string_view process_name) const {
@@ -33,9 +14,9 @@ std::string SpanTracer::export_chrome_trace(
   // is complete: dropped > 0 means the oldest spans were overwritten.
   w.key("traceStats")
       .begin_object()
-      .member("recorded", recorded_)
+      .member("recorded", recorded())
       .member("retained", static_cast<std::uint64_t>(size()))
-      .member("dropped", dropped_)
+      .member("dropped", dropped())
       .end_object();
   w.key("traceEvents").begin_array();
 

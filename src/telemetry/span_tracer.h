@@ -3,34 +3,34 @@
 // The paper made its core argument visible with an eBPF trace of the NAPI
 // poll order (Fig. 6). This tracer generalizes that: components record
 // sim-time spans (poll iterations, softirq entries, IRQ instants) into a
-// preallocated ring — interned name ids and plain stores on the hot path,
-// no allocation in steady state — and the whole timeline exports as Chrome
-// trace_event JSON, loadable in Perfetto / chrome://tracing. Tracks map to
-// CPUs (one row per core, labelled via set_track_label), so vanilla
-// interleaving vs PRISM streamlining is visible as alternating span colors
-// on one row.
+// bounded ring (sim::BoundedRing) — interned name ids and plain stores on
+// the hot path, no allocation in steady state — and the whole timeline
+// exports as Chrome trace_event JSON, loadable in Perfetto /
+// chrome://tracing. Tracks map to CPUs (one row per core, labelled via
+// set_track_label), so vanilla interleaving vs PRISM streamlining is
+// visible as alternating span colors on one row.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
+#include "sim/bounded.h"
 #include "sim/time.h"
 
 namespace prism::telemetry {
 
 class SpanTracer {
  public:
-  using NameId = std::uint16_t;
+  using NameId = sim::NameTable::Id;
 
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
   /// `capacity` bounds the ring; the oldest spans are overwritten (and
   /// counted in dropped()) once it is full.
-  explicit SpanTracer(std::size_t capacity = kDefaultCapacity);
+  explicit SpanTracer(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
@@ -38,11 +38,9 @@ class SpanTracer {
   /// Resolves a span name to a small id, registering it on first use.
   /// Call once per name at attach time and keep the id; the hot path then
   /// records integers only.
-  NameId intern(std::string_view name);
+  NameId intern(std::string_view name) { return names_.intern(name); }
 
-  const std::string& name(NameId id) const {
-    return names_[static_cast<std::size_t>(id)];
-  }
+  const std::string& name(NameId id) const { return names_.name(id); }
 
   /// Labels a track row in the exported trace (thread_name metadata),
   /// e.g. track 0 -> "server.cpu0".
@@ -66,32 +64,26 @@ class SpanTracer {
   /// `arg`/`arg2` export as "packets"/"stage_ns" span args.
   void span(int track, NameId name, sim::Time begin, sim::Duration duration,
             std::uint32_t arg = 0, std::uint32_t arg2 = 0) {
-    push(Span{begin, duration, name, static_cast<std::int16_t>(track), arg,
-              arg2, false});
+    ring_.push(Span{begin, duration, name, static_cast<std::int16_t>(track),
+                    arg, arg2, false});
   }
 
   /// Records a zero-duration marker (IRQ fire, preemption).
   void instant(int track, NameId name, sim::Time at) {
-    push(Span{at, 0, name, static_cast<std::int16_t>(track), 0, 0, true});
+    ring_.push(
+        Span{at, 0, name, static_cast<std::int16_t>(track), 0, 0, true});
   }
 
   std::size_t size() const noexcept { return ring_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::uint64_t recorded() const noexcept { return recorded_; }
+  std::size_t capacity() const noexcept { return ring_.capacity(); }
+  std::uint64_t recorded() const noexcept { return ring_.pushed(); }
   /// Spans overwritten because the ring was full.
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t dropped() const noexcept { return ring_.dropped(); }
 
   /// i-th retained span, oldest first.
-  const Span& at(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
+  const Span& at(std::size_t i) const { return ring_.at(i); }
 
-  void clear() noexcept {
-    ring_.clear();
-    head_ = 0;
-    recorded_ = 0;
-    dropped_ = 0;
-  }
+  void clear() noexcept { ring_.clear(); }
 
   /// Renders the retained spans as a Chrome trace_event JSON document
   /// ({"traceEvents": [...]}). Timestamps are exported in microseconds,
@@ -105,24 +97,8 @@ class SpanTracer {
       std::string_view process_name = "prism") const;
 
  private:
-  void push(const Span& s) {
-    ++recorded_;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(s);
-      return;
-    }
-    ring_[head_] = s;
-    head_ = (head_ + 1) % ring_.size();
-    ++dropped_;
-  }
-
-  std::size_t capacity_;
-  std::vector<Span> ring_;
-  std::size_t head_ = 0;
-  std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, NameId> name_index_;
+  sim::BoundedRing<Span> ring_;
+  sim::NameTable names_;
   std::map<int, std::string> track_labels_;
 };
 

@@ -1,33 +1,14 @@
 #include "trace/poll_trace.h"
 
 #include <cstdio>
-#include <stdexcept>
 
 namespace prism::trace {
-
-PollTrace::PollTrace(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("PollTrace: capacity must be positive");
-  }
-}
-
-PollTrace::NameId PollTrace::intern(std::string_view name) {
-  const auto it = name_index_.find(std::string(name));
-  if (it != name_index_.end()) return it->second;
-  if (names_.size() > 0xffff) {
-    throw std::length_error("PollTrace: name table full");
-  }
-  const NameId id = static_cast<NameId>(names_.size());
-  names_.emplace_back(name);
-  name_index_.emplace(names_.back(), id);
-  return id;
-}
 
 void PollTrace::on_poll_ids(sim::Time at, NameId device,
                             const NameId* poll_list,
                             std::size_t poll_list_len, int packets) {
   CompactRecord rec;
-  rec.iteration = ++iterations_;
+  rec.iteration = ring_.pushed() + 1;
   rec.at = at;
   rec.packets = packets;
   rec.device = device;
@@ -37,14 +18,7 @@ void PollTrace::on_poll_ids(sim::Time at, NameId device,
   }
   rec.list_len = static_cast<std::uint8_t>(poll_list_len);
   for (std::size_t i = 0; i < poll_list_len; ++i) rec.list[i] = poll_list[i];
-
-  if (ring_.size() < capacity_) {
-    ring_.push_back(rec);
-    return;
-  }
-  ring_[head_] = rec;
-  head_ = (head_ + 1) % ring_.size();
-  ++dropped_;
+  ring_.push(rec);
 }
 
 void PollTrace::on_poll(sim::Time at, const std::string& device,
@@ -57,28 +31,19 @@ void PollTrace::on_poll(sim::Time at, const std::string& device,
   on_poll_ids(at, intern(device), ids.data(), n, packets);
 }
 
-void PollTrace::set_capacity(std::size_t capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("PollTrace: capacity must be positive");
-  }
-  capacity_ = capacity;
-  clear();
-  ring_.shrink_to_fit();
-}
-
 std::vector<PollRecord> PollTrace::records() const {
   std::vector<PollRecord> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const CompactRecord& c = at_index(i);
+    const CompactRecord& c = ring_.at(i);
     PollRecord r;
     r.iteration = c.iteration;
     r.at = c.at;
     r.packets = c.packets;
-    r.device = names_[c.device];
+    r.device = names_.name(c.device);
     r.poll_list.reserve(c.list_len);
     for (std::size_t j = 0; j < c.list_len; ++j) {
-      r.poll_list.push_back(names_[c.list[j]]);
+      r.poll_list.push_back(names_.name(c.list[j]));
     }
     out.push_back(std::move(r));
   }
@@ -89,7 +54,7 @@ std::vector<std::string> PollTrace::device_order() const {
   std::vector<std::string> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(names_[at_index(i).device]);
+    out.push_back(names_.name(ring_.at(i).device));
   }
   return out;
 }
@@ -98,14 +63,14 @@ std::string PollTrace::render(std::size_t max_rows) const {
   std::string out = "Iter.  Device  Poll list\n";
   char buf[32];
   for (std::size_t i = 0; i < ring_.size() && i < max_rows; ++i) {
-    const CompactRecord& r = at_index(i);
+    const CompactRecord& r = ring_.at(i);
     std::snprintf(buf, sizeof(buf), "%-5llu  %-6s  [",
                   static_cast<unsigned long long>(r.iteration),
-                  names_[r.device].c_str());
+                  names_.name(r.device).c_str());
     out += buf;
     for (std::size_t j = 0; j < r.list_len; ++j) {
       if (j != 0) out += ", ";
-      out += names_[r.list[j]];
+      out += names_.name(r.list[j]);
     }
     out += "]\n";
   }

@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/bounded.h"
 #include "sim/time.h"
 
 namespace prism::trace {
@@ -38,10 +38,10 @@ struct PollRecord {
 /// Accumulates poll records; attach to a NetRxEngine with set_poll_trace.
 class PollTrace {
  public:
-  using NameId = std::uint16_t;
+  using NameId = sim::NameTable::Id;
 
-  /// Retained records by default; tune with the constructor or
-  /// set_capacity() for long sweeps.
+  /// Retained records by default; tune with the constructor for long
+  /// sweeps.
   static constexpr std::size_t kDefaultCapacity = 1 << 15;
 
   /// Poll-list entries stored per record; longer lists are truncated
@@ -49,11 +49,12 @@ class PollTrace {
   /// pipeline device on the CPU, far below this bound.
   static constexpr std::size_t kMaxPollList = 12;
 
-  explicit PollTrace(std::size_t capacity = kDefaultCapacity);
+  explicit PollTrace(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
   /// Resolves a device name to its interned id (registering it on first
   /// use). Producers intern once per device and record ids.
-  NameId intern(std::string_view name);
+  NameId intern(std::string_view name) { return names_.intern(name); }
 
   /// Hot path: records one poll iteration from interned ids.
   void on_poll_ids(sim::Time at, NameId device, const NameId* poll_list,
@@ -65,16 +66,13 @@ class PollTrace {
 
   /// Number of retained records (<= capacity).
   std::size_t size() const noexcept { return ring_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return ring_.capacity(); }
 
   /// Records overwritten because the ring was full.
-  std::uint64_t dropped_records() const noexcept { return dropped_; }
+  std::uint64_t dropped_records() const noexcept { return ring_.dropped(); }
 
   /// Poll-list snapshots cut off at kMaxPollList entries.
   std::uint64_t truncated_lists() const noexcept { return truncated_; }
-
-  /// Re-bounds the ring. Clears retained records (not the name table).
-  void set_capacity(std::size_t capacity);
 
   /// Materializes the retained records, oldest first.
   std::vector<PollRecord> records() const;
@@ -87,9 +85,6 @@ class PollTrace {
 
   void clear() noexcept {
     ring_.clear();
-    head_ = 0;
-    iterations_ = 0;
-    dropped_ = 0;
     truncated_ = 0;
   }
 
@@ -103,18 +98,9 @@ class PollTrace {
     std::array<NameId, kMaxPollList> list{};
   };
 
-  const CompactRecord& at_index(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
-
-  std::size_t capacity_;
-  std::vector<CompactRecord> ring_;
-  std::size_t head_ = 0;
-  std::uint64_t iterations_ = 0;
-  std::uint64_t dropped_ = 0;
+  sim::BoundedRing<CompactRecord> ring_;
   std::uint64_t truncated_ = 0;
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, NameId> name_index_;
+  sim::NameTable names_;
 };
 
 }  // namespace prism::trace

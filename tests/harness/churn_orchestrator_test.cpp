@@ -18,6 +18,12 @@ namespace {
 
 constexpr sim::Time kMs = 1'000'000;
 
+ClusterConfig with_pairs(int pairs) {
+  ClusterConfig cc;
+  cc.pairs = pairs;
+  return cc;
+}
+
 fault::ChurnPlan make_plan(std::uint64_t seed, double migrate_fraction,
                            int disruptions = 2) {
   fault::ChurnConfig cfg;
@@ -35,7 +41,7 @@ fault::ChurnPlan make_plan(std::uint64_t seed, double migrate_fraction,
 }
 
 TEST(ChurnOrchestratorTest, AppliesEveryEventAndTracksIncarnations) {
-  Cluster cluster(ClusterConfig{.pairs = 1});
+  Cluster cluster(with_pairs(1));
   // All-migrate plan: each event replaces the incarnation and flips the
   // hosting side.
   fault::ChurnPlan plan = make_plan(5, 1.0, /*disruptions=*/3);
@@ -68,7 +74,7 @@ TEST(ChurnOrchestratorTest, AppliesEveryEventAndTracksIncarnations) {
 }
 
 TEST(ChurnOrchestratorTest, StopAndRestartHooksPairUp) {
-  Cluster cluster(ClusterConfig{.pairs = 1});
+  Cluster cluster(with_pairs(1));
   fault::ChurnPlan plan = make_plan(5, 0.0, /*disruptions=*/2);
   ASSERT_EQ(plan.count(fault::ChurnKind::kStop), 2u);
   ChurnOrchestrator orch(cluster, plan);
@@ -95,7 +101,7 @@ TEST(ChurnOrchestratorTest, StopAndRestartHooksPairUp) {
 }
 
 TEST(ChurnOrchestratorTest, DeliveryResumesAfterMigration) {
-  Cluster cluster(ClusterConfig{.pairs = 1});
+  Cluster cluster(with_pairs(1));
   overlay::Netns& cl = cluster.add_client_container(0, "cl");
   overlay::Netns& srv = cluster.add_server_container(0, "srv");
   kernel::UdpSocket& before = cluster.server(0).udp_bind(srv, 7000);
@@ -130,7 +136,7 @@ TEST(ChurnOrchestratorTest, DeliveryResumesAfterMigration) {
 
 TEST(ChurnOrchestratorTest, ChurnedClusterIsThreadCountDeterministic) {
   const auto run = [](int threads) {
-    Cluster cluster(ClusterConfig{.pairs = 2});
+    Cluster cluster(with_pairs(2));
     std::vector<kernel::UdpSocket*> socks;
     ChurnOrchestrator orch(cluster, make_plan(11, 0.5, 2));
     for (int p = 0; p < 2; ++p) {

@@ -30,7 +30,8 @@ net::FiveTuple tuple(std::uint16_t src_port, std::uint16_t dst_port = 7000) {
 }
 
 Netns make_ns(int id) {
-  return Netns("c" + std::to_string(id),
+  // Not `"c" + to_string(id)`: GCC 12 -O3 false -Wrestrict on it.
+  return Netns(std::string("c").append(std::to_string(id)),
                net::Ipv4Addr::of(172, 17, 0, static_cast<std::uint8_t>(id)),
                net::MacAddr::make(static_cast<std::uint32_t>(id)), true);
 }

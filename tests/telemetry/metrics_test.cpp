@@ -64,7 +64,8 @@ TEST(RegistryTest, HandleAddressesSurviveManyRegistrations) {
   first->inc();
   // Force internal growth; deque storage must not move existing entries.
   for (int i = 1; i < 500; ++i) {
-    reg.counter("c" + std::to_string(i));
+    // Not `"c" + to_string(i)`: GCC 12 -O3 false -Wrestrict on it.
+    reg.counter(std::string("c").append(std::to_string(i)));
   }
   EXPECT_EQ(&reg.counter("c0"), first);
   EXPECT_EQ(first->value(), 1u);

@@ -61,18 +61,6 @@ TEST(PollTraceTest, LongPollListsAreTruncated) {
   EXPECT_EQ(records[0].poll_list.front(), "dev0");
 }
 
-TEST(PollTraceTest, SetCapacityRebounds) {
-  PollTrace trace(8);
-  for (int i = 0; i < 8; ++i) trace.on_poll(i, "eth", {}, 1);
-  trace.set_capacity(2);
-  EXPECT_EQ(trace.size(), 0u);  // retained records cleared
-  for (int i = 0; i < 5; ++i) trace.on_poll(i, "br", {}, 1);
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.dropped_records(), 3u);
-  EXPECT_EQ(trace.device_order(),
-            (std::vector<std::string>{"br", "br"}));
-}
-
 TEST(PollTraceTest, InternedIdsAreStable) {
   PollTrace trace;
   const auto eth = trace.intern("eth");
