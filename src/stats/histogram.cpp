@@ -1,5 +1,6 @@
 #include "stats/histogram.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -116,7 +117,8 @@ std::int64_t Histogram::percentile(double q) const noexcept {
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
-    if (seen >= rank) return bucket_value(i);
+    // A bucket's upper edge can pass the largest value recorded.
+    if (seen >= rank) return std::min(bucket_value(i), max_);
   }
   return max_;
 }

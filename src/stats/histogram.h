@@ -56,8 +56,8 @@ class Histogram {
   double stddev() const noexcept;
 
   /// Value at quantile q in [0, 1]. Returns a bucket-representative value
-  /// (upper edge of the containing bucket), so percentile(1.0) >= max()
-  /// within bucket precision. Returns 0 when empty.
+  /// (upper edge of the containing bucket) clamped to max(), so
+  /// percentile(1.0) == max(). Returns 0 when empty.
   std::int64_t percentile(double q) const noexcept;
 
   /// Convenience: percentile(0.5).

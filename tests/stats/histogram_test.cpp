@@ -181,6 +181,13 @@ TEST(HistogramTest, MaxPercentileCoversMax) {
   EXPECT_GE(h.percentile(1.0), 1'000'000);
 }
 
+TEST(HistogramTest, PercentileNeverExceedsMax) {
+  Histogram h(4);
+  h.record(1000);  // its bucket's upper edge is 1023
+  EXPECT_EQ(h.percentile(0.5), 1000);
+  EXPECT_EQ(h.percentile(1.0), h.max());
+}
+
 TEST(HistogramTest, HugeValuesDoNotOverflow) {
   Histogram h;
   h.record(std::int64_t{1} << 46);
